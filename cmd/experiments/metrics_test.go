@@ -74,6 +74,11 @@ func checkReconciles(t *testing.T, m obs.Manifest) {
 	if h, ok := m.Timing.Histograms[obs.HistJobSeconds]; !ok || h.Count != j.Succeeded+j.Failed-j.Drained {
 		t.Errorf("job-seconds count = %+v, want %d executed jobs", h, j.Succeeded+j.Failed-j.Drained)
 	}
+	// Each single-core run rode one shared generation and private-level
+	// pass, and each pass produced at least one run.
+	if runs, passes := c("runs"), c("filter_passes"); passes > runs || (runs > 0 && passes == 0) {
+		t.Errorf("filter passes = %d for %d single-core runs, want 0 < passes <= runs", passes, runs)
+	}
 	// sim_runs + sim_multicore_runs live results each observed one
 	// duration.
 	if h := m.Timing.Histograms[obs.SimPrefix+"run_seconds"]; h.Count != c("runs")+c("multicore_runs") {

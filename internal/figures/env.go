@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"time"
 
@@ -107,6 +108,28 @@ func runJobsLimited[T any](e *Env, jobs []runner.Job[T], workers int) *runner.Se
 	}
 	opts.Workers = workers
 	set := runner.Run(e.ctx(), jobs, opts)
+	e.note(set.Failed())
+	return set
+}
+
+// fanoutParts is how many groups each of nbench benchmarks' fan-out
+// lanes are split into: one, so a benchmark's cells share one pass,
+// unless there are fewer benchmarks than workers, when each benchmark
+// is split so that every worker has a pass to run.
+func (e *Env) fanoutParts(nbench int) int {
+	workers := e.Workers
+	if workers <= 0 {
+		workers = runtime.NumCPU() // the runner's default
+	}
+	return (workers + nbench - 1) / max(nbench, 1)
+}
+
+// runGroups executes one sweep's grouped executions (see runner.Group)
+// under the Env's policy and records their failures on the Env.
+func runGroups[T any](e *Env, groups []runner.Group[T]) *runner.Set[T] {
+	opts := e.options()
+	opts.Workers = e.Workers
+	set := runner.RunGroups(e.ctx(), groups, opts)
 	e.note(set.Failed())
 	return set
 }

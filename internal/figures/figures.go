@@ -134,8 +134,12 @@ func RunMatrix(benches []workloads.Workload, specs []PolicySpec, opts sim.Single
 }
 
 // RunMatrixEnv sweeps every benchmark against every policy on the
-// shared runner. Section names the sweep in checkpoint keys and
-// failure reports; it must be stable across runs for -resume to hit.
+// shared runner, one sim.RunFanout pass per benchmark over the
+// policies whose cells are not already checkpointed (more than one
+// when there are fewer benchmarks than workers; see Env.fanoutParts).
+// Section names
+// the sweep in checkpoint keys and failure reports; it must be stable
+// across runs for -resume to hit.
 func RunMatrixEnv(e *Env, section string, benches []workloads.Workload, specs []PolicySpec, opts sim.SingleOptions) *Matrix {
 	m := &Matrix{
 		Results: make(map[cell]sim.SingleResult),
@@ -151,19 +155,20 @@ func RunMatrixEnv(e *Env, section string, benches []workloads.Workload, specs []
 	key := func(bench, pol string) string {
 		return fmt.Sprintf("%s|%s|%s|%s", section, optKey(opts), bench, pol)
 	}
-	var jobs []runner.Job[sim.SingleResult]
+	// A benchmark's policies share one generation and private-level
+	// pass per group, while each cell keeps its own checkpoint key.
+	parts := e.fanoutParts(len(benches))
+	var groups []runner.Group[sim.SingleResult]
 	for _, w := range benches {
-		for _, s := range specs {
-			w, s := w, s
-			jobs = append(jobs, runner.Job[sim.SingleResult]{
-				Key: key(w.Name, s.Name),
-				Run: func(context.Context) (sim.SingleResult, error) {
-					return sim.RunSingle(w, s.Make(1), opts), nil
-				},
-			})
+		keys := make([]string, len(specs))
+		lanes := make([]sim.Lane, len(specs))
+		for i, s := range specs {
+			keys[i] = key(w.Name, s.Name)
+			lanes[i] = sim.Lane{Policy: func() cache.Policy { return s.Make(1) }}
 		}
+		groups = append(groups, fanoutGroups(w, opts, keys, lanes, parts, func(r sim.SingleResult) sim.SingleResult { return r })...)
 	}
-	set := runJobs(e, jobs)
+	set := runGroups(e, groups)
 	for _, b := range m.Benchmarks {
 		for _, p := range m.Policies {
 			k := key(b, p)
@@ -175,6 +180,39 @@ func RunMatrixEnv(e *Env, section string, benches []workloads.Workload, specs []
 		}
 	}
 	return m
+}
+
+// fanoutGroups is one benchmark's runner groups: keys[i] names the
+// cell lanes[i] computes, split into parts groups of near-equal size
+// (at most one per lane). Each execution runs one sim.RunFanout pass
+// over the lanes of the keys it is given, mapping every lane's result
+// through val. A lane that panics fails only its own key.
+func fanoutGroups[T any](w workloads.Workload, opts sim.SingleOptions, keys []string, lanes []sim.Lane, parts int, val func(sim.SingleResult) T) []runner.Group[T] {
+	laneOf := make(map[string]sim.Lane, len(keys))
+	for i, k := range keys {
+		laneOf[k] = lanes[i]
+	}
+	run := func(_ context.Context, pending []string) []runner.Outcome[T] {
+		lanes := make([]sim.Lane, len(pending))
+		for i, k := range pending {
+			lanes[i] = laneOf[k]
+		}
+		outs := make([]runner.Outcome[T], len(pending))
+		for i, r := range sim.RunFanout(w, opts, lanes) {
+			if r.Err != nil {
+				outs[i].Err = r.Err
+			} else {
+				outs[i].Value = val(r.Result)
+			}
+		}
+		return outs
+	}
+	parts = min(max(parts, 1), len(keys))
+	groups := make([]runner.Group[T], parts)
+	for i := range groups {
+		groups[i] = runner.Group[T]{Keys: keys[i*len(keys)/parts : (i+1)*len(keys)/parts], Run: run}
+	}
+	return groups
 }
 
 // renderTable prints a header row and aligned numeric rows.

@@ -2,10 +2,12 @@ package figures
 
 import (
 	"math"
+	"path/filepath"
 	"testing"
 
 	"sdbp/internal/cache"
 	"sdbp/internal/obs"
+	"sdbp/internal/runner"
 	"sdbp/internal/sim"
 	"sdbp/internal/workloads"
 )
@@ -75,6 +77,51 @@ func TestMatrixObsReconciles(t *testing.T) {
 	}
 	if got := reg.Histogram(obs.SimPrefix + "run_seconds").Count(); got != uint64(cells) {
 		t.Errorf("run_seconds observations = %d, want %d", got, cells)
+	}
+}
+
+// TestMatrixFilterPasses: with no more workers than benchmarks, a
+// matrix shares one generation and private-level pass per benchmark,
+// so sim_filter_passes counts benchmarks while sim_runs counts cells,
+// and a resumed run counts only the passes it made for the cells left
+// to run.
+func TestMatrixFilterPasses(t *testing.T) {
+	benches := pick(t, "456.hmmer", "401.bzip2", "429.mcf")
+	specs := []PolicySpec{LRUSpec(), StandardPolicies()[1], StandardPolicies()[4]}
+	reg := obs.NewRegistry()
+	ck, err := runner.OpenCheckpoint(filepath.Join(t.TempDir(), "passes.ckpt"), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ck.Close()
+	RunMatrixEnv(&Env{Obs: reg, Checkpoint: ck, Workers: 1}, "passes-test", benches[:2], specs, sim.SingleOptions{Scale: tinyScale})
+	if runs, passes := reg.CounterValue(obs.SimPrefix+"runs"), reg.CounterValue(obs.SimPrefix+"filter_passes"); runs != 6 || passes != 2 {
+		t.Errorf("sim_runs = %d, sim_filter_passes = %d; want 6 cells over 2 passes", runs, passes)
+	}
+
+	reg = obs.NewRegistry()
+	RunMatrixEnv(&Env{Obs: reg, Checkpoint: ck, Workers: 1}, "passes-test", benches, specs, sim.SingleOptions{Scale: tinyScale})
+	if runs, passes := reg.CounterValue(obs.SimPrefix+"runs"), reg.CounterValue(obs.SimPrefix+"filter_passes"); runs != 3 || passes != 1 {
+		t.Errorf("resumed: sim_runs = %d, sim_filter_passes = %d; want 3 cells over 1 pass", runs, passes)
+	}
+}
+
+// TestMatrixFilterPassesFillWorkers: with fewer benchmarks than
+// workers, each benchmark's policies are split over enough passes to
+// give every worker one, and never more passes than cells.
+func TestMatrixFilterPassesFillWorkers(t *testing.T) {
+	benches := pick(t, "456.hmmer")
+	specs := []PolicySpec{LRUSpec(), StandardPolicies()[1], StandardPolicies()[4]}
+	for _, tc := range []struct{ workers, passes int }{{1, 1}, {2, 2}, {8, 3}} {
+		reg := obs.NewRegistry()
+		m := RunMatrixEnv(&Env{Obs: reg, Workers: tc.workers}, "fill-test", benches, specs, sim.SingleOptions{Scale: tinyScale})
+		if len(m.Errors) != 0 {
+			t.Fatalf("workers=%d: errors %v", tc.workers, m.Errors)
+		}
+		if runs, passes := reg.CounterValue(obs.SimPrefix+"runs"), reg.CounterValue(obs.SimPrefix+"filter_passes"); runs != 3 || passes != uint64(tc.passes) {
+			t.Errorf("workers=%d: sim_runs = %d, sim_filter_passes = %d; want 3 cells over %d passes",
+				tc.workers, runs, passes, tc.passes)
+		}
 	}
 }
 

@@ -178,7 +178,7 @@ type Table4 struct {
 }
 
 // RunTable4 computes the sensitivity curves. Each distinct benchmark is
-// simulated once per size and shared across mixes.
+// simulated once, fanned out to every size, and shared across mixes.
 func RunTable4(scale float64) *Table4 {
 	return RunTable4Env(DefaultEnv(), scale)
 }
@@ -202,27 +202,29 @@ func RunTable4Env(e *Env, scale float64) *Table4 {
 	key := func(bench string, size int) string {
 		return fmt.Sprintf("table4|s=%g|%s|%d", scaleOr1(scale), bench, size)
 	}
-	var jobs []runner.Job[float64]
+	// A benchmark's nine LRU LLC sizes share one generation and
+	// private-level pass per group.
+	lru := LRUSpec()
+	parts := e.fanoutParts(len(names))
+	var groups []runner.Group[float64]
 	for _, bench := range names {
 		w, err := workloads.ByName(bench)
 		if err != nil {
 			panic(err) // mixes reference only known benchmarks
 		}
-		for _, size := range SensitivitySizes {
-			w, size := w, size
-			jobs = append(jobs, runner.Job[float64]{
-				Key: key(w.Name, size),
-				Run: func(context.Context) (float64, error) {
-					r := sim.RunSingle(w, LRUSpec().Make(1), sim.SingleOptions{
-						Scale: scale,
-						LLC:   cache.Config{Name: "LLC", SizeBytes: size, Ways: 16},
-					})
-					return r.MPKI, nil
-				},
-			})
+		keys := make([]string, len(SensitivitySizes))
+		lanes := make([]sim.Lane, len(SensitivitySizes))
+		for i, size := range SensitivitySizes {
+			keys[i] = key(w.Name, size)
+			lanes[i] = sim.Lane{
+				Policy: func() cache.Policy { return lru.Make(1) },
+				LLC:    cache.Config{Name: "LLC", SizeBytes: size, Ways: 16},
+			}
 		}
+		groups = append(groups, fanoutGroups(w, sim.SingleOptions{Scale: scale}, keys, lanes, parts,
+			func(r sim.SingleResult) float64 { return r.MPKI })...)
 	}
-	set := runJobs(e, jobs)
+	set := runGroups(e, groups)
 
 	t := &Table4{Mixes: mixes, Curves: make(map[string][]float64)}
 	for _, m := range mixes {

@@ -7,13 +7,13 @@ import (
 
 // This file is the hierarchy's block-granular surface. The drive loops
 // in internal/sim hand whole blocks of demand accesses to a core at
-// once: FilterBlock runs the private L1/L2 levels as one tight loop
-// (the multicore pre-filter, safe to run per-core in parallel), and
-// AccessBlock adds the LLC leg for single-owner LLCs. Both produce
-// state, statistics, and observer behaviour byte-identical to repeated
-// Access calls — pinned by the goldens and the policytest batch
-// differential — because no level ever reads another level's state
-// between accesses once write-back propagation is off.
+// once: FilterBlock runs the private L1/L2 levels as one tight loop,
+// GatherLLC collects the block's LLC-bound records for one
+// cache.AccessBatch call, and Filtered.Level decodes the per-access
+// levels the timing model needs. Together they are byte-identical to
+// repeated Access calls — pinned by the goldens and the policytest
+// batch differential — because no level ever reads another level's
+// state between accesses once write-back propagation is off.
 
 // Filtered is one access's outcome through the private levels, in the
 // form the ordered LLC merge consumes: which private level satisfied it
@@ -131,64 +131,30 @@ func (c *Core) FilterBlock(as []mem.Access, out []Filtered) {
 	}
 }
 
-// AccessBlock sends a block of demand accesses down the hierarchy,
-// writing the level that satisfied each into levels (len(levels) >=
-// len(as)). It is exactly equivalent to calling Access per element:
-// when the core has observers, write-back propagation, or no LLC —
-// configurations where per-access interleaving is observable — it
-// degenerates to that loop; otherwise the private levels run as one
-// FilterBlock pass and only the LLC-bound subsequence touches the LLC,
-// which is safe because the L1, L2, and LLC each see their own access
-// subsequence in the same order either way and never read one
-// another's state between accesses.
-// BlockCapable reports whether the block-granular path is fully
-// engaged: write-back propagation off, an LLC present, and no
-// per-access observers. When false, AccessBlock degenerates to the
-// scalar loop, and drive loops that want to pipeline FilterBlock
-// against the LLC leg must not.
-func (c *Core) BlockCapable() bool {
-	return !c.writebacks && c.LLC != nil &&
-		c.onLLC == nil && c.onLLCMiss == nil && c.onLLCEvict == nil
+// GatherLLC appends the LLC-bound records of a filtered block to dst,
+// in stream order, and returns the extended slice: the subsequence an
+// LLC consumes with one AccessBatch call.
+func GatherLLC(dst []mem.Access, fb []Filtered) []mem.Access {
+	for i := range fb {
+		if fb[i].Flags&FLLCBound != 0 {
+			dst = append(dst, fb[i].LLC)
+		}
+	}
+	return dst
 }
 
-func (c *Core) AccessBlock(as []mem.Access, levels []Level) {
-	if len(as) == 0 {
-		return
-	}
-	if !c.BlockCapable() {
-		levels = levels[:len(as)]
-		for i := range as {
-			levels[i] = c.Access(as[i])
+// Level decodes the level that satisfied a filtered access: the
+// private level from the flags or, for an LLC-bound record, LevelLLC or
+// LevelMemory from llc[*next] — the LLC's result for that record in
+// GatherLLC's subsequence — advancing *next past it. Decoding a block
+// in order from next = 0 consumes llc exactly.
+func (f *Filtered) Level(llc []cache.Result, next *int) Level {
+	l := f.PrivateLevel()
+	if l == LevelMemory {
+		if llc[*next].Hit {
+			l = LevelLLC
 		}
-		return
+		*next++
 	}
-	if cap(c.filt) < len(as) {
-		c.filt = make([]Filtered, len(as))
-		c.llcAs = make([]mem.Access, len(as))
-		c.llcRs = make([]cache.Result, len(as))
-		c.llcIdx = make([]int32, len(as))
-	}
-	filt := c.filt[:len(as)]
-	c.FilterBlock(as, filt)
-	levels = levels[:len(as)]
-	n := 0
-	for i := range filt {
-		switch {
-		case filt[i].Flags&FL1Hit != 0:
-			levels[i] = LevelL1
-		case filt[i].Flags&FL2Hit != 0:
-			levels[i] = LevelL2
-		default:
-			levels[i] = LevelMemory
-			c.llcAs[n] = filt[i].LLC
-			c.llcIdx[n] = int32(i)
-			n++
-		}
-	}
-	c.LLC.AccessBatch(c.llcAs[:n], c.llcRs[:n])
-	for j := 0; j < n; j++ {
-		if c.llcRs[j].Hit {
-			levels[c.llcIdx[j]] = LevelLLC
-		}
-	}
+	return l
 }

@@ -106,13 +106,6 @@ type Core struct {
 
 	writebacks bool   // propagate dirty victims down the hierarchy
 	pendingGap uint64 // instructions since the last LLC access
-
-	// AccessBlock scratch, grown on demand and reused across blocks so
-	// the steady state allocates nothing.
-	filt   []Filtered
-	llcAs  []mem.Access
-	llcRs  []cache.Result
-	llcIdx []int32
 }
 
 // NewCore builds a private L1/L2 stack in front of llc (which may be

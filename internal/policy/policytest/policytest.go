@@ -120,11 +120,12 @@ func BatchDifferential(nameOrExpr string, stream []mem.Access, chunk int) string
 
 // HierBatchDifferential drives the same raw demand stream through two
 // fresh full hierarchies under the same policy expression — one
-// per-access through hier.Core.Access, one in chunks through AccessBlock
-// (which routes the private levels through cache.AccessPrivate and the
-// LLC through AccessBatch) — and returns the first divergence in
-// satisfying levels, per-level statistics, or final tag state at any
-// level ("" when byte-identical).
+// per-access through hier.Core.Access, one in chunks through the block
+// path the simulator's drive loop composes (FilterBlock over the
+// private levels' AccessPrivate, GatherLLC, the LLC's AccessBatch,
+// Filtered.Level) — and returns the first divergence in satisfying levels,
+// per-level statistics, or final tag state at any level ("" when
+// byte-identical).
 func HierBatchDifferential(nameOrExpr string, stream []mem.Access, chunk int) string {
 	p := exp.MustResolvePolicy(nameOrExpr)
 	scalarCore := hier.NewCore(hier.DefaultConfig(), cache.New(hier.LLCConfig(1), p.Make(1)))
@@ -135,12 +136,21 @@ func HierBatchDifferential(nameOrExpr string, stream []mem.Access, chunk int) st
 		scalarLv[i] = scalarCore.Access(a)
 	}
 	batchLv := make([]hier.Level, len(stream))
+	fb := make([]hier.Filtered, chunk)
+	rs := make([]cache.Result, chunk)
+	var llcAs []mem.Access
 	for lo := 0; lo < len(stream); lo += chunk {
 		hi := lo + chunk
 		if hi > len(stream) {
 			hi = len(stream)
 		}
-		batchCore.AccessBlock(stream[lo:hi], batchLv[lo:hi])
+		batchCore.FilterBlock(stream[lo:hi], fb[:hi-lo])
+		llcAs = hier.GatherLLC(llcAs[:0], fb[:hi-lo])
+		batchCore.LLC.AccessBatch(llcAs, rs[:len(llcAs)])
+		next := 0
+		for i := range fb[:hi-lo] {
+			batchLv[lo+i] = fb[i].Level(rs, &next)
+		}
 	}
 
 	for i := range scalarLv {

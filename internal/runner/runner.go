@@ -10,7 +10,9 @@
 //   - deterministic checkpointing: completed results are journaled to
 //     a JSON-lines file keyed by job key, so an interrupted campaign
 //     resumes by skipping finished cells,
-//   - progress events (jobs done/total, ETA) for long campaigns.
+//   - progress events (jobs done/total, ETA) for long campaigns,
+//   - grouped executions (RunGroups): one run settles several keys,
+//     each still checkpointed, counted and reported as its own job.
 //
 // Jobs are deterministic simulations, so a job key fully identifies
 // its result: keys embed the section, stream scale and cache geometry
@@ -156,17 +158,66 @@ func (s *Set[T]) Failed() []*JobError {
 	return out
 }
 
+// Group is one execution that settles several keys at once, such as
+// a simulation pass shared by several cells. Keys must be unique across
+// a RunGroups call and stable across restarts, exactly like Job keys:
+// checkpoint records, progress events, job counters and failures all
+// stay per key.
+type Group[T any] struct {
+	Keys []string
+	// Run settles the keys it is given — the group's keys still pending
+	// after checkpoint lookup, and on a retry only those that failed —
+	// returning one Outcome per key, in the same order. A panic or
+	// timeout fails every key it was given.
+	Run func(ctx context.Context, keys []string) []Outcome[T]
+	// Span, when non-nil, is the group's trace span, as for Job.Span.
+	Span *obs.Span
+}
+
+// Outcome is one key's result from a Group execution. An Err that
+// carries a recovered panic's stack (a PanicStack() string method) is
+// reported as a panic with that stack.
+type Outcome[T any] struct {
+	Value T
+	Err   error
+}
+
 // Run executes the jobs on a bounded pool and returns when every job
 // has settled. A cancelled context stops new work; queued jobs drain
 // with a cancellation error rather than blocking. Run never panics on
 // a panicking job.
 func Run[T any](ctx context.Context, jobs []Job[T], opts Options) *Set[T] {
+	groups := make([]Group[T], len(jobs))
+	for i, j := range jobs {
+		run := j.Run
+		groups[i] = Group[T]{
+			Keys: []string{j.Key},
+			Span: j.Span,
+			Run: func(ctx context.Context, _ []string) []Outcome[T] {
+				v, err := run(ctx)
+				return []Outcome[T]{{v, err}}
+			},
+		}
+	}
+	return RunGroups(ctx, groups, opts)
+}
+
+// RunGroups is Run for executions that each settle several keys. The
+// per-job contract holds per key: a key restored from the checkpoint
+// is not passed to its group, every key settles with one event and
+// one counter update, and successful results are journaled per key. A
+// group's timeout is Options.Timeout times the keys it is given, and
+// a retry re-runs only the keys that failed.
+func RunGroups[T any](ctx context.Context, groups []Group[T], opts Options) *Set[T] {
 	opts = opts.withDefaults()
+	total := 0
+	for _, g := range groups {
+		total += len(g.Keys)
+	}
 	set := &Set[T]{
-		Values: make(map[string]T, len(jobs)),
+		Values: make(map[string]T, total),
 		Errors: make(map[string]*JobError),
 	}
-	total := len(jobs)
 	start := time.Now()
 	opts.Obs.Counter(obs.CtrJobsSubmitted).Add(uint64(total))
 
@@ -207,116 +258,165 @@ func Run[T any](ctx context.Context, jobs []Job[T], opts Options) *Set[T] {
 	}
 
 	// Restore checkpointed results first so the pool only sees real work.
-	var pending []Job[T]
-	for _, j := range jobs {
-		var v T
-		if opts.Checkpoint.Lookup(j.Key, &v) {
-			mu.Lock()
-			set.Values[j.Key] = v
-			emit(j.Key, true, nil)
-			mu.Unlock()
-			continue
+	var pending []Group[T]
+	for _, g := range groups {
+		var keys []string
+		for _, k := range g.Keys {
+			var v T
+			if opts.Checkpoint.Lookup(k, &v) {
+				mu.Lock()
+				set.Values[k] = v
+				emit(k, true, nil)
+				mu.Unlock()
+				continue
+			}
+			keys = append(keys, k)
 		}
-		pending = append(pending, j)
+		if len(keys) > 0 {
+			g.Keys = keys
+			pending = append(pending, g)
+		}
 	}
 
-	ch := make(chan Job[T])
+	ch := make(chan Group[T])
 	var wg sync.WaitGroup
 	for i := 0; i < opts.Workers; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for j := range ch {
+			for g := range ch {
 				if err := ctx.Err(); err != nil {
-					// Drain: account for the job without running it.
-					opts.Obs.Counter(obs.CtrJobsDrained).Inc()
-					j.Span.SetAttr("outcome", "drained")
-					jerr := &JobError{Key: j.Key, Err: err}
+					// Drain: account for the keys without running them.
+					opts.Obs.Counter(obs.CtrJobsDrained).Add(uint64(len(g.Keys)))
+					g.Span.SetAttr("outcome", "drained")
 					mu.Lock()
-					set.Errors[j.Key] = jerr
-					emit(j.Key, false, jerr)
+					for _, k := range g.Keys {
+						jerr := &JobError{Key: k, Err: err}
+						set.Errors[k] = jerr
+						emit(k, false, jerr)
+					}
 					mu.Unlock()
 					continue
 				}
-				jobStart := time.Now()
-				v, jerr := attempt(ctx, j, opts)
-				opts.Obs.Histogram(obs.HistJobSeconds).Observe(time.Since(jobStart).Seconds())
-				if jerr == nil && opts.Obs != nil {
-					// Fold the result's aggregate simulator counters into
-					// the registry at the experiment boundary, keeping the
-					// per-access path metric-free.
-					if o, ok := any(v).(obs.Observable); ok {
-						o.ObserveInto(opts.Obs)
+				groupStart := time.Now()
+				vals, errs := attempt(ctx, g, opts)
+				// Each executed key is one observation; the group's wall
+				// time is shared evenly, so the histogram still sums to
+				// time spent executing.
+				share := time.Since(groupStart).Seconds() / float64(len(g.Keys))
+				for i := range g.Keys {
+					opts.Obs.Histogram(obs.HistJobSeconds).Observe(share)
+					if errs[i] == nil && opts.Obs != nil {
+						// Fold the result's aggregate simulator counters into
+						// the registry at the experiment boundary, keeping
+						// the per-access path metric-free.
+						if o, ok := any(vals[i]).(obs.Observable); ok {
+							o.ObserveInto(opts.Obs)
+						}
 					}
 				}
 				mu.Lock()
-				if jerr != nil {
-					set.Errors[j.Key] = jerr
-				} else {
-					set.Values[j.Key] = v
+				for i, k := range g.Keys {
+					if errs[i] != nil {
+						set.Errors[k] = errs[i]
+					} else {
+						set.Values[k] = vals[i]
+					}
+					emit(k, false, errs[i])
 				}
-				emit(j.Key, false, jerr)
 				mu.Unlock()
-				if jerr == nil {
-					// Journal outside any caller-visible path; a write
-					// failure must not fail the job.
-					_ = opts.Checkpoint.Record(j.Key, v)
+				for i, k := range g.Keys {
+					if errs[i] == nil {
+						// Journal outside any caller-visible path; a write
+						// failure must not fail the job.
+						_ = opts.Checkpoint.Record(k, vals[i])
+					}
 				}
 			}
 		}()
 	}
-	for _, j := range pending {
-		ch <- j
+	for _, g := range pending {
+		ch <- g
 	}
 	close(ch)
 	wg.Wait()
 	return set
 }
 
-// attempt runs one job with bounded retries. Each try is traced as an
-// "attempt" child of the job's span (when the job carries one).
-func attempt[T any](ctx context.Context, job Job[T], opts Options) (T, *JobError) {
-	var zero T
+// attempt runs one group with bounded retries, returning each key's
+// value or failure in key order. Each try is traced as an "attempt"
+// child of the group's span (when it carries one), annotated with the
+// first failure's outcome.
+func attempt[T any](ctx context.Context, g Group[T], opts Options) ([]T, []*JobError) {
+	vals := make([]T, len(g.Keys))
+	errs := make([]*JobError, len(g.Keys))
+	todo := make([]int, len(g.Keys))
+	for i := range todo {
+		todo[i] = i
+	}
 	for try := 0; ; try++ {
-		sp := job.Span.StartChild("attempt")
+		sp := g.Span.StartChild("attempt")
 		sp.SetAttr("try", strconv.Itoa(try+1))
-		v, jerr := runOnce(ctx, job, opts.Timeout)
-		if jerr == nil {
+		keys := make([]string, len(todo))
+		for i, idx := range todo {
+			keys[i] = g.Keys[idx]
+		}
+		outVals, outErrs := runOnce(ctx, g, keys, opts.Timeout*time.Duration(len(keys)))
+		var retry []int
+		var first *JobError
+		for i, idx := range todo {
+			vals[idx], errs[idx] = outVals[i], outErrs[i]
+			jerr := outErrs[i]
+			if jerr == nil {
+				continue
+			}
+			jerr.Attempts = try + 1
+			if first == nil {
+				first = jerr
+			}
+			if !jerr.TimedOut && ctx.Err() == nil && !errors.Is(jerr.Err, context.Canceled) {
+				retry = append(retry, idx)
+			}
+		}
+		if first == nil {
 			sp.SetAttr("outcome", "ok")
 			sp.End()
-			return v, nil
+			return vals, errs
 		}
 		switch {
-		case jerr.TimedOut:
+		case first.TimedOut:
 			sp.SetAttr("outcome", "timeout")
-		case jerr.Stack != "":
+		case first.Stack != "":
 			sp.SetAttr("outcome", "panic")
 		default:
 			sp.SetAttr("outcome", "error")
 		}
-		sp.SetAttr("error", jerr.Err.Error())
-		jerr.Attempts = try + 1
-		retryable := !jerr.TimedOut && ctx.Err() == nil &&
-			!errors.Is(jerr.Err, context.Canceled)
-		if try >= opts.Retries || !retryable {
+		sp.SetAttr("error", first.Err.Error())
+		if try >= opts.Retries || len(retry) == 0 {
 			sp.End()
-			return zero, jerr
+			return vals, errs
 		}
 		sp.SetAttr("retrying", "true")
 		sp.End()
-		opts.Obs.Counter(obs.CtrJobRetries).Inc()
+		opts.Obs.Counter(obs.CtrJobRetries).Add(uint64(len(retry)))
 		select {
 		case <-ctx.Done():
-			return zero, jerr
+			return vals, errs
 		case <-time.After(opts.Backoff * time.Duration(1<<try)):
 		}
+		todo = retry
 	}
 }
 
-// runOnce executes a single attempt with panic recovery and the
-// per-job timeout.
-func runOnce[T any](ctx context.Context, job Job[T], timeout time.Duration) (T, *JobError) {
-	var zero T
+// stackCarrier is a panic value, or an Outcome error, carrying the
+// stack of a panic recovered elsewhere: across a goroutine or out of
+// an isolated part of a group.
+type stackCarrier interface{ PanicStack() string }
+
+// runOnce executes a single attempt of a group over keys, with panic
+// recovery and the attempt's timeout, returning each key's value or
+// failure.
+func runOnce[T any](ctx context.Context, g Group[T], keys []string, timeout time.Duration) ([]T, []*JobError) {
 	jctx := ctx
 	if timeout > 0 {
 		var cancel context.CancelFunc
@@ -325,7 +425,7 @@ func runOnce[T any](ctx context.Context, job Job[T], timeout time.Duration) (T, 
 	}
 
 	type outcome struct {
-		v     T
+		outs  []Outcome[T]
 		err   error
 		stack string
 	}
@@ -334,33 +434,50 @@ func runOnce[T any](ctx context.Context, job Job[T], timeout time.Duration) (T, 
 	go func() {
 		defer func() {
 			if r := recover(); r != nil {
-				ch <- outcome{
-					err:   fmt.Errorf("panic: %v", r),
-					stack: string(debug.Stack()),
+				stack := string(debug.Stack())
+				if sc, ok := r.(stackCarrier); ok {
+					stack = sc.PanicStack()
 				}
+				ch <- outcome{err: fmt.Errorf("panic: %v", r), stack: stack}
 			}
 		}()
-		v, err := job.Run(jctx)
-		ch <- outcome{v: v, err: err}
+		ch <- outcome{outs: g.Run(jctx, keys)}
 	}()
 
-	select {
-	case o := <-ch:
-		if o.err != nil {
-			return zero, &JobError{
-				Key: job.Key, Err: o.err, Stack: o.stack,
-				Duration: time.Since(start),
-			}
-		}
-		return o.v, nil
-	case <-jctx.Done():
-		// The job goroutine is abandoned; simulations are not
-		// preemptible, so it runs to completion and its late result is
-		// dropped (the outcome channel is buffered).
-		return zero, &JobError{
-			Key: job.Key, Err: jctx.Err(),
-			TimedOut: ctx.Err() == nil,
-			Duration: time.Since(start),
+	vals := make([]T, len(keys))
+	errs := make([]*JobError, len(keys))
+	fail := func(i int, err error, stack string, timedOut bool) {
+		errs[i] = &JobError{
+			Key: keys[i], Err: err, Stack: stack,
+			TimedOut: timedOut, Duration: time.Since(start),
 		}
 	}
+	select {
+	case o := <-ch:
+		for i := range keys {
+			switch {
+			case o.err != nil:
+				fail(i, o.err, o.stack, false)
+			case len(o.outs) != len(keys):
+				fail(i, fmt.Errorf("group returned %d outcomes for %d keys", len(o.outs), len(keys)), "", false)
+			case o.outs[i].Err != nil:
+				err := o.outs[i].Err
+				if sc, ok := err.(stackCarrier); ok {
+					fail(i, fmt.Errorf("panic: %v", err), sc.PanicStack(), false)
+				} else {
+					fail(i, err, "", false)
+				}
+			default:
+				vals[i] = o.outs[i].Value
+			}
+		}
+	case <-jctx.Done():
+		// The group's goroutine is abandoned; simulations are not
+		// preemptible, so it runs to completion and its late result is
+		// dropped (the outcome channel is buffered).
+		for i := range keys {
+			fail(i, jctx.Err(), "", ctx.Err() == nil)
+		}
+	}
+	return vals, errs
 }

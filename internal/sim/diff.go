@@ -3,6 +3,7 @@ package sim
 import (
 	"sdbp/internal/cache"
 	"sdbp/internal/hier"
+	"sdbp/internal/trace"
 	"sdbp/internal/workloads"
 )
 
@@ -45,39 +46,33 @@ func (d DiffResult) GainRate() float64 {
 }
 
 // CompareLLC runs one benchmark against two LLC policies in lockstep
-// and classifies every LLC access by its hit/miss outcome under each.
+// and classifies every LLC access by its hit/miss outcome under each:
+// one producer pass feeds each block's LLC-bound records to both LLCs.
 func CompareLLC(w workloads.Workload, polA, polB cache.Policy, opts SingleOptions) DiffResult {
 	opts.normalize()
-
 	llcA := cache.New(opts.LLC, polA)
 	llcB := cache.New(opts.LLC, polB)
-	// One hierarchy produces the canonical stream; cache B replays it.
-	core := hier.NewCore(hier.DefaultConfig(), llcA)
-
+	p := &producer{
+		gen:  w.Generator(opts.Scale).(trace.BatchGenerator),
+		core: hier.NewCore(hier.DefaultConfig(), nil),
+	}
 	res := DiffResult{Benchmark: w.Name, PolicyA: polA.Name(), PolicyB: polB.Name()}
-	gen := w.Generator(opts.Scale)
-	for {
-		a, ok := gen.Next()
-		if !ok {
-			break
-		}
-		beforeA := llcA.Stats()
-		core.Access(a)
-		afterA := llcA.Stats()
-		if afterA.Accesses == beforeA.Accesses {
-			continue // satisfied above the LLC
-		}
-		hitA := afterA.Hits > beforeA.Hits
-		hitB := llcB.Access(a).Hit
-		switch {
-		case hitA && hitB:
-			res.BothHit++
-		case hitA:
-			res.OnlyAHit++
-		case hitB:
-			res.OnlyBHit++
-		default:
-			res.BothMiss++
+	var b block
+	var ra, rb [genBatch]cache.Result
+	for p.fill(&b) {
+		llcA.AccessBatch(b.llc, ra[:len(b.llc)])
+		llcB.AccessBatch(b.llc, rb[:len(b.llc)])
+		for i := range b.llc {
+			switch hitA, hitB := ra[i].Hit, rb[i].Hit; {
+			case hitA && hitB:
+				res.BothHit++
+			case hitA:
+				res.OnlyAHit++
+			case hitB:
+				res.OnlyBHit++
+			default:
+				res.BothMiss++
+			}
 		}
 	}
 	return res

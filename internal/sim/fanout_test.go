@@ -1,0 +1,208 @@
+package sim_test
+
+import (
+	"errors"
+	"reflect"
+	"strings"
+	"testing"
+
+	"sdbp/internal/cache"
+	"sdbp/internal/exp"
+	"sdbp/internal/mem"
+	"sdbp/internal/policy/policytest"
+	"sdbp/internal/sim"
+	"sdbp/internal/trace"
+	"sdbp/internal/workloads"
+)
+
+// producers names both producer placements RunFanout chooses between.
+var producers = []struct {
+	name       string
+	concurrent bool
+}{{"inline", false}, {"goroutine", true}}
+
+// stripTiming strips the wall-clock and pass-accounting fields, which a
+// shared pass legitimately changes, from a result.
+func stripTiming(r sim.SingleResult) sim.SingleResult {
+	r.Duration = 0
+	r.FilterPasses = 0
+	return r
+}
+
+// TestFanoutMatchesSeparateRuns is the fan-out differential: one pass
+// fanned out to every registry policy spelling, plus lanes that differ
+// only in LLC geometry, must reproduce K separate RunSingle calls
+// byte for byte — through both producer placements, on a memoized
+// stream and on one above the stream memo's cap (a generated one).
+func TestFanoutMatchesSeparateRuns(t *testing.T) {
+	w, err := workloads.ByName("456.hmmer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	exprs := policytest.Expressions()
+	sizes := []int{512 << 10, 8 << 20}
+	for _, tc := range []struct {
+		name   string
+		scale  float64
+		replay bool // stream served from the memo
+	}{
+		{"memoized", 0.02, true},
+		{"above-memo-cap", 0.202, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if !tc.replay && testing.Short() {
+				t.Skip("generated stream: 44 full runs; CI races it in its own step without -short")
+			}
+			_, replay := w.Generator(tc.scale).(*trace.Replay)
+			if replay != tc.replay {
+				t.Fatalf("scale %g: memo replay = %t, want %t", tc.scale, replay, tc.replay)
+			}
+			opts := sim.SingleOptions{Scale: tc.scale, CaptureStream: true}
+			var lanes []sim.Lane
+			var want []sim.SingleResult
+			for _, e := range exprs {
+				p := exp.MustResolvePolicy(e)
+				lanes = append(lanes, sim.Lane{Policy: func() cache.Policy { return p.Make(1) }})
+				want = append(want, sim.RunSingle(w, p.Make(1), opts))
+			}
+			lru := exp.MustResolvePolicy("LRU")
+			for _, size := range sizes {
+				llc := cache.Config{Name: "LLC", SizeBytes: size, Ways: 16}
+				lanes = append(lanes, sim.Lane{Policy: func() cache.Policy { return lru.Make(1) }, LLC: llc})
+				o := opts
+				o.LLC = llc
+				want = append(want, sim.RunSingle(w, lru.Make(1), o))
+			}
+			for _, pr := range producers {
+				got := sim.RunFanoutWith(w, opts, lanes, pr.concurrent)
+				if len(got) != len(lanes) {
+					t.Fatalf("%s: %d results for %d lanes", pr.name, len(got), len(lanes))
+				}
+				passes := uint64(0)
+				for i, r := range got {
+					if r.Err != nil {
+						t.Fatalf("%s lane %d: %v", pr.name, i, r.Err)
+					}
+					passes += r.Result.FilterPasses
+					if !reflect.DeepEqual(stripTiming(r.Result), stripTiming(want[i])) {
+						t.Errorf("%s lane %d (%s): fan-out result differs from RunSingle", pr.name, i, want[i].Policy)
+					}
+				}
+				if passes != 1 {
+					t.Errorf("%s: results account for %d passes, want 1", pr.name, passes)
+				}
+			}
+		})
+	}
+}
+
+// midStreamPanic is an LRU policy that panics on its nth access.
+type midStreamPanic struct {
+	cache.Policy
+	n int
+}
+
+func (p *midStreamPanic) OnAccess(set uint32, a mem.Access) {
+	if p.n--; p.n == 0 {
+		panic("injected: mid-stream policy fault")
+	}
+	p.Policy.OnAccess(set, a)
+}
+
+// TestFanoutLanePanicIsolated: a lane whose policy panics at
+// construction or mid-stream fails alone, with the panic's value and
+// stack, while its siblings still match their separate runs.
+func TestFanoutLanePanicIsolated(t *testing.T) {
+	w, err := workloads.ByName("456.hmmer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := sim.SingleOptions{Scale: 0.02}
+	lru, smp := exp.MustResolvePolicy("LRU"), exp.MustResolvePolicy("Sampler")
+	lanes := []sim.Lane{
+		{Policy: func() cache.Policy { return lru.Make(1) }},
+		{Policy: func() cache.Policy { panic("injected: bad policy configuration") }},
+		{Policy: func() cache.Policy { return &midStreamPanic{Policy: lru.Make(1), n: 1000} }},
+		{Policy: func() cache.Policy { return smp.Make(1) }},
+	}
+	want := []sim.SingleResult{
+		sim.RunSingle(w, lru.Make(1), opts), {}, {}, sim.RunSingle(w, smp.Make(1), opts),
+	}
+	for _, pr := range producers {
+		got := sim.RunFanoutWith(w, opts, lanes, pr.concurrent)
+		for _, i := range []int{0, 3} {
+			if got[i].Err != nil {
+				t.Fatalf("%s: healthy lane %d failed: %v", pr.name, i, got[i].Err)
+			}
+			if !reflect.DeepEqual(stripTiming(got[i].Result), stripTiming(want[i])) {
+				t.Errorf("%s: healthy lane %d differs from its separate run", pr.name, i)
+			}
+		}
+		for i, site := range map[int]string{1: "TestFanoutLanePanicIsolated", 2: "(*midStreamPanic).OnAccess"} {
+			var p *sim.Panic
+			if !errors.As(got[i].Err, &p) {
+				t.Fatalf("%s: lane %d error = %v, want a *sim.Panic", pr.name, i, got[i].Err)
+			}
+			if !strings.Contains(p.Error(), "injected") || !strings.Contains(p.Stack, site) {
+				t.Errorf("%s: lane %d panic %q lost its value or its stack (want frame %s):\n%s",
+					pr.name, i, p.Error(), site, p.Stack)
+			}
+		}
+	}
+}
+
+// TestRunSinglePanicCarriesStack: RunSingle re-raises a policy panic as
+// a *sim.Panic whose stack is the original panic site.
+func TestRunSinglePanicCarriesStack(t *testing.T) {
+	w, err := workloads.ByName("456.hmmer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		p, ok := recover().(*sim.Panic)
+		if !ok {
+			t.Fatalf("RunSingle did not panic with a *sim.Panic")
+		}
+		if !strings.Contains(p.Stack, "(*midStreamPanic).OnAccess") {
+			t.Errorf("stack lost the panic site:\n%s", p.Stack)
+		}
+	}()
+	sim.RunSingle(w, &midStreamPanic{Policy: exp.MustResolvePolicy("LRU").Make(1), n: 10}, sim.SingleOptions{Scale: 0.02})
+}
+
+// panicGen is a stream whose second batch panics.
+type panicGen struct{ batches int }
+
+func (g *panicGen) Reset()                   {}
+func (g *panicGen) Next() (mem.Access, bool) { panic("panicGen: Next is not used") }
+
+func (g *panicGen) NextBatch(dst []mem.Access) int {
+	if g.batches++; g.batches > 1 {
+		panic("injected: generator fault")
+	}
+	for i := range dst {
+		dst[i] = mem.Access{Addr: uint64(i) << 6, Gap: 3}
+	}
+	return len(dst)
+}
+
+// TestProducerPanicCarriesStack: a panic in the generator reaches the
+// caller as a *sim.Panic with the generator's frame, through both
+// producer placements.
+func TestProducerPanicCarriesStack(t *testing.T) {
+	lru := exp.MustResolvePolicy("LRU")
+	for _, pr := range producers {
+		t.Run(pr.name, func(t *testing.T) {
+			defer func() {
+				p, ok := recover().(*sim.Panic)
+				if !ok {
+					t.Fatalf("drive did not panic with a *sim.Panic")
+				}
+				if !strings.Contains(p.Error(), "injected") || !strings.Contains(p.Stack, "(*panicGen).NextBatch") {
+					t.Errorf("panic %q lost its value or its stack:\n%s", p.Error(), p.Stack)
+				}
+			}()
+			sim.DriveWith(&panicGen{}, lru.Make(1), pr.concurrent)
+		})
+	}
+}

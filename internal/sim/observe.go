@@ -28,13 +28,16 @@ func observeLevel(r *obs.Registry, level string, s cache.Stats) {
 
 // ObserveInto implements obs.Observable: it accumulates the run's
 // per-level cache.Stats, instructions retired, cycles, and predictor
-// verdicts as sim_* counters, and its wall time into the
+// verdicts as sim_* counters, plus the shared generation and
+// private-level pass it accounts for (sim_filter_passes, so sim_runs /
+// sim_filter_passes is the fan-out factor), and its wall time into the
 // sim_run_seconds histogram.
 func (r SingleResult) ObserveInto(reg *obs.Registry) {
 	observeLevel(reg, "l1", r.L1)
 	observeLevel(reg, "l2", r.L2)
 	observeLevel(reg, "llc", r.LLC)
 	reg.Counter(obs.SimPrefix + "runs").Inc()
+	reg.Counter(obs.SimPrefix + "filter_passes").Add(r.FilterPasses)
 	reg.Counter(obs.SimPrefix + "instructions").Add(r.Instructions)
 	reg.Counter(obs.SimPrefix + "cycles").Add(r.Cycles)
 	if r.Accuracy != nil {

@@ -42,25 +42,11 @@ type Window struct {
 	// Warmup is 0.
 	Warm []mem.Access
 	// Measure covers the pick's instruction range (Start, End], every
-	// access with its private-level resolution precomputed. It can be
-	// short or empty when the plan outlives the stream (for example a
-	// plan built at a larger scale); the estimator drops empty
-	// measurements and renormalizes.
-	Measure []MeasuredAccess
-}
-
-// MeasuredAccess is one measured-range access with its precomputed
-// private-level resolution.
-type MeasuredAccess struct {
-	mem.Access
-	// Level is where the private levels resolved the access: LevelL1
-	// and LevelL2 fix the latency outright; LevelMemory means the
-	// access reaches the LLC, where the policy under test decides
-	// between an LLC hit and a memory access.
-	Level hier.Level
-	// LLCGap is the rewritten instruction gap of the LLC-bound record
-	// (meaningful only when Level is LevelMemory).
-	LLCGap uint32
+	// access as its private-level outcome (the record a full run's
+	// lanes replay). It can be short or empty when the plan outlives
+	// the stream (for example a plan built at a larger scale); the
+	// estimator drops empty measurements and renormalizes.
+	Measure []hier.Filtered
 }
 
 // Materialized is one workload's sampled access stream: every window a
@@ -139,24 +125,21 @@ func MaterializeSampled(w workloads.Workload, plan *sampling.Plan, scale float64
 
 	// The private-level filter sees exactly the accesses inside windows,
 	// in stream order, once each — the same stream the per-policy hier
-	// stack processed before filtering moved here. A capture-only core
-	// (nil LLC) delivers the gap-rewritten LLC-bound records.
+	// stack processed before filtering moved here.
 	filter := hier.NewCore(hier.DefaultConfig(), nil)
-	var llcRec mem.Access
-	var llcBound bool
-	filter.CaptureLLC(func(a mem.Access) { llcRec, llcBound = a, true })
+	var one [1]mem.Access
+	var f [1]hier.Filtered
 
 	var cum uint64 // instructions retired after the current access
 	lo := 0        // first window whose End is still ahead of cum
-	gen := w.Generator(scale)
+	gen := w.Generator(scale).(trace.BatchGenerator)
 	capture := func(a mem.Access) {
 		cum += uint64(a.Gap) + 1
 		m.TotalAccesses++
 		for lo < len(plan.Picks) && plan.Picks[lo].End < cum {
 			lo++
 		}
-		filtered := false // filter.Access ran for this access
-		level := hier.LevelMemory
+		filtered := false // the filter ran for this access
 		for i := lo; i < len(plan.Picks); i++ {
 			if cum <= warmLo[i] {
 				// Windows are Start-sorted and warm-ups have one fixed
@@ -169,42 +152,26 @@ func MaterializeSampled(w workloads.Workload, plan *sampling.Plan, scale float64
 				continue
 			}
 			if !filtered {
-				llcBound = false
-				level = filter.Access(a)
+				one[0] = a
+				filter.FilterBlock(one[:], f[:])
 				filtered = true
 			}
 			win := &m.Windows[i]
-			if inWarm {
-				if llcBound {
-					win.Warm = append(win.Warm, llcRec)
-				}
-			} else {
-				ma := MeasuredAccess{Access: a, Level: level}
-				if llcBound {
-					ma.LLCGap = llcRec.Gap
-				}
-				win.Measure = append(win.Measure, ma)
+			if !inWarm {
+				win.Measure = append(win.Measure, f[0])
+			} else if f[0].Flags&hier.FLLCBound != 0 {
+				win.Warm = append(win.Warm, f[0].LLC)
 			}
 		}
 	}
-	if bg, ok := gen.(trace.BatchGenerator); ok {
-		var buf [genBatch]mem.Access
-		for {
-			n := bg.NextBatch(buf[:])
-			if n == 0 {
-				break
-			}
-			for i := range buf[:n] {
-				capture(buf[i])
-			}
+	var buf [genBatch]mem.Access
+	for {
+		n := gen.NextBatch(buf[:])
+		if n == 0 {
+			break
 		}
-	} else {
-		for {
-			a, ok := gen.Next()
-			if !ok {
-				break
-			}
-			capture(a)
+		for i := range buf[:n] {
+			capture(buf[i])
 		}
 	}
 	m.TotalInstructions = cum
@@ -287,44 +254,22 @@ func RunSampledTrace(m *Materialized, pol cache.Policy, opts SingleOptions) (Sam
 		Policy:    pol.Name(),
 		Measured:  make([]probe.Interval, len(m.Windows)),
 	}
-	// Scratch for the measured ranges' LLC-bound subsequence, reused
-	// across windows. LLC state never depends on the timing model and
-	// snapshots are taken only at window boundaries, so batching the
-	// whole LLC leg ahead of the timing pass is byte-identical to the
-	// interleaved per-access replay.
+	// Scratch for the measured ranges' replay, reused across windows.
+	// LLC state never depends on the timing model and snapshots are
+	// taken only at window boundaries, so batching the whole LLC leg
+	// ahead of the timing pass is byte-identical to the interleaved
+	// per-access replay.
 	var llcAs []mem.Access
-	var llcRs []cache.Result
+	var rs []cache.Result
 	for i := range m.Windows {
 		win := &m.Windows[i]
 		llc.AccessBatch(win.Warm, nil)
 		before := snap(llc, timing, acc)
-		if cap(llcAs) < len(win.Measure) {
-			llcAs = make([]mem.Access, len(win.Measure))
-			llcRs = make([]cache.Result, len(win.Measure))
+		llcAs = hier.GatherLLC(llcAs[:0], win.Measure)
+		if cap(rs) < len(llcAs) {
+			rs = make([]cache.Result, len(llcAs))
 		}
-		n := 0
-		for j := range win.Measure {
-			ma := &win.Measure[j]
-			if ma.Level == hier.LevelMemory {
-				llcA := ma.Access
-				llcA.Gap = ma.LLCGap
-				llcAs[n] = llcA
-				n++
-			}
-		}
-		llc.AccessBatch(llcAs[:n], llcRs[:n])
-		n = 0
-		for j := range win.Measure {
-			ma := &win.Measure[j]
-			level := ma.Level
-			if level == hier.LevelMemory {
-				if llcRs[n].Hit {
-					level = hier.LevelLLC
-				}
-				n++
-			}
-			timing.Record(ma.Gap, level.Latency(), ma.DependentLoad)
-		}
+		replayFiltered(llc, timing, win.Measure, llcAs, rs)
 		after := snap(llc, timing, acc)
 		iv := probe.Interval{
 			Index:           i,

@@ -44,8 +44,14 @@ type SingleResult struct {
 	// counters can reconcile total work across the whole hierarchy.
 	L1, L2 cache.Stats
 	// Duration is the run's wall time (not serialized into goldens;
-	// feeds throughput gauges only).
+	// feeds throughput gauges only). Runs that shared a fan-out pass
+	// split its wall time evenly.
 	Duration time.Duration
+	// FilterPasses is 1 on the result that accounts for the
+	// generation and private-level pass it rode on (one per RunFanout
+	// call, however many lanes shared it), else 0; it feeds the
+	// sim_filter_passes counter.
+	FilterPasses uint64 `json:"-"`
 	// MPKI is LLC misses per thousand instructions.
 	MPKI float64
 	// Efficiency is the LLC's live-time ratio (Figure 1's metric).
@@ -94,104 +100,75 @@ func (o *SingleOptions) normalize() {
 }
 
 // RunSingle simulates one benchmark on one core with the given LLC
-// policy and returns the run's metrics.
+// policy and returns the run's metrics. It is the one-lane fan-out
+// (see RunFanout), except for probed runs, which keep a per-access
+// loop. A panic in the policy, the generator or the private levels
+// propagates to the caller as a *Panic carrying the original stack.
 func RunSingle(w workloads.Workload, pol cache.Policy, opts SingleOptions) SingleResult {
+	if opts.Probe != nil && opts.Probe.Enabled() {
+		return runProbed(w, pol, opts)
+	}
 	opts.normalize()
 	start := time.Now()
-
-	var ap attributionProvider
-	if opts.Probe != nil && opts.Probe.Enabled() {
-		// Opt the policy into per-PC attribution before cache.New runs
-		// its Reset, which sizes the table.
-		ap = enableAttribution(pol)
+	// Drive the one lane directly: RunFanout's lane and result slices
+	// would add allocations to every single run.
+	var l lane
+	l.start(w, func() cache.Policy { return pol }, opts.LLC)
+	drive(newProducer(w.Generator(opts.Scale), opts), opts, []*lane{&l}, runtime.NumCPU() > 1, start)
+	if l.err != nil {
+		panic(l.err)
 	}
+	return l.res
+}
+
+// runProbed is RunSingle with interval telemetry: the sampler reads
+// the timing model and LLC statistics after every access, so hierarchy
+// and timing may not be regrouped into blocks. Batched generation
+// still amortizes the generator dispatch.
+func runProbed(w workloads.Workload, pol cache.Policy, opts SingleOptions) SingleResult {
+	opts.normalize()
+	start := time.Now()
+	// Opt the policy into per-PC attribution before cache.New runs its
+	// Reset, which sizes the table.
+	ap := enableAttribution(pol)
 	llc := cache.New(opts.LLC, pol)
 	core := hier.NewCore(hier.DefaultConfig(), llc)
 	timing := cpu.New(cpu.DefaultConfig())
 	ps := newIntervalSampler(opts.Probe, llc, timing, pol)
-
-	res := SingleResult{Benchmark: w.Name, Policy: pol.Name()}
-
-	gen := w.Generator(opts.Scale)
-	bg, batched := gen.(trace.BatchGenerator)
-	// Stream capture observes exactly the LLC-bound records, which the
-	// block path already materializes (Filtered.LLC): when the hierarchy
-	// is otherwise block-capable, collect them from FilterBlock's output
-	// instead of registering the observer that would force per-access
-	// dispatch. hier.Core.Access invokes the observer with the identical
-	// gap-rewritten record, so the captured stream is byte-identical.
-	blockCapture := opts.CaptureStream && batched && ps == nil && core.BlockCapable()
-	if opts.CaptureStream && !blockCapture {
+	res := SingleResult{Benchmark: w.Name, Policy: pol.Name(), FilterPasses: 1}
+	if opts.CaptureStream {
 		core.CaptureLLC(func(a mem.Access) { res.Stream = append(res.Stream, a) })
 	}
 
-	if blockCapture {
-		res.Stream = runCapture(bg, core, llc, timing)
-	} else if batched && ps == nil && core.BlockCapable() &&
-		runtime.NumCPU() > 1 {
-		// Pipelined block-granular drive: a producer goroutine generates
-		// each block and runs it through the private levels
-		// (FilterBlock), while this goroutine consumes the filtered
-		// records — LLC leg, then timing. The split is safe because the
-		// two sides own disjoint state (producer: generator + L1/L2;
-		// consumer: LLC + timing model; handoff through the channel
-		// orders everything else), and byte-identical because each cache
-		// still sees its own access subsequence in order and timing
-		// never feeds back — pinned by the goldens.
-		runPipelined(bg, core, llc, timing)
-	} else if batched && ps == nil {
-		// Observers (stream capture) force per-access dispatch inside
-		// AccessBlock, but batched generation still amortizes the
-		// generator interface.
-		var buf [genBatch]mem.Access
-		var levels [genBatch]hier.Level
-		for {
-			n := bg.NextBatch(buf[:])
-			if n == 0 {
-				break
-			}
-			core.AccessBlock(buf[:n], levels[:n])
-			for i := 0; i < n; i++ {
-				timing.Record(buf[i].Gap, levels[i].Latency(), buf[i].DependentLoad)
-			}
+	gen := w.Generator(opts.Scale).(trace.BatchGenerator)
+	var buf [genBatch]mem.Access
+	for {
+		n := gen.NextBatch(buf[:])
+		if n == 0 {
+			break
 		}
-	} else if batched {
-		// Probed runs keep the per-access loop: the interval sampler
-		// reads the timing model and LLC statistics after every access,
-		// so hierarchy and timing may not be regrouped. Batched
-		// generation still amortizes the generator dispatch.
-		var buf [genBatch]mem.Access
-		for {
-			n := bg.NextBatch(buf[:])
-			if n == 0 {
-				break
-			}
-			for i := range buf[:n] {
-				a := buf[i]
-				level := core.Access(a)
-				timing.Record(a.Gap, level.Latency(), a.DependentLoad)
-				ps.maybeSample()
-			}
-		}
-	} else {
-		for {
-			a, ok := gen.Next()
-			if !ok {
-				break
-			}
+		for i := range buf[:n] {
+			a := buf[i]
 			level := core.Access(a)
 			timing.Record(a.Gap, level.Latency(), a.DependentLoad)
-			if ps != nil {
-				ps.maybeSample()
-			}
+			ps.maybeSample()
 		}
 	}
 	llc.Finish()
 
+	finishResult(&res, llc, timing, pol, core.Stats(), opts)
+	ps.finish()
+	res.Probe = buildSeries(&res, opts.Probe, ps.intervals, ap)
+	res.Duration = time.Since(start)
+	return res
+}
+
+// finishResult fills a run's metrics from its finished LLC, timing
+// model and per-level statistics.
+func finishResult(res *SingleResult, llc *cache.Cache, timing *cpu.Core, pol cache.Policy, levels hier.LevelStats, opts SingleOptions) {
 	res.Instructions = timing.Instructions()
 	res.Cycles = uint64(timing.Cycles())
 	res.IPC = timing.IPC()
-	levels := core.Stats()
 	res.LLC = levels.LLC
 	res.L1 = levels.L1
 	res.L2 = levels.L2
@@ -202,124 +179,7 @@ func RunSingle(w workloads.Workload, pol cache.Policy, opts SingleOptions) Singl
 	if opts.KeepLineEfficiencies {
 		res.LineEfficiencies = llc.LineEfficiencies()
 	}
-	fillAccuracy(&res, pol)
-	if ps != nil {
-		ps.finish()
-		res.Probe = buildSeries(&res, opts.Probe, ps.intervals, ap)
-	}
-	res.Duration = time.Since(start)
-	return res
-}
-
-// pipeBuffers is the pipelined drive loop's block count in flight: one
-// being filtered, one in the channel, one being consumed.
-const pipeBuffers = 3
-
-// runPipelined is RunSingle's drive loop when the hierarchy is fully
-// block-capable: generation plus private-level filtering run in a
-// producer goroutine, the LLC leg and the timing model in the caller.
-// The stream is deterministic and the private levels never read LLC or
-// timing state, so overlapping the two halves changes no observable
-// byte. The producer exits on stream exhaustion and the channel close
-// both terminates the consumer and publishes the producer-side cache
-// state (L1/L2 stats, tags) to the caller.
-func runPipelined(bg trace.BatchGenerator, core *hier.Core, llc *cache.Cache, timing *cpu.Core) {
-	recs := make(chan []hier.Filtered, pipeBuffers)
-	free := make(chan []hier.Filtered, pipeBuffers)
-	for i := 0; i < pipeBuffers; i++ {
-		free <- make([]hier.Filtered, genBatch)
-	}
-	go func() {
-		defer close(recs)
-		var buf [genBatch]mem.Access
-		for {
-			n := bg.NextBatch(buf[:])
-			if n == 0 {
-				return
-			}
-			fb := (<-free)[:n]
-			core.FilterBlock(buf[:n], fb)
-			recs <- fb
-		}
-	}()
-	llcAs := make([]mem.Access, genBatch)
-	llcRs := make([]cache.Result, genBatch)
-	for fb := range recs {
-		n := 0
-		for i := range fb {
-			if fb[i].Flags&hier.FLLCBound != 0 {
-				llcAs[n] = fb[i].LLC
-				n++
-			}
-		}
-		llc.AccessBatch(llcAs[:n], llcRs[:n])
-		j := 0
-		for i := range fb {
-			var level hier.Level
-			switch {
-			case fb[i].Flags&hier.FL1Hit != 0:
-				level = hier.LevelL1
-			case fb[i].Flags&hier.FL2Hit != 0:
-				level = hier.LevelL2
-			default:
-				level = hier.LevelMemory
-				if llcRs[j].Hit {
-					level = hier.LevelLLC
-				}
-				j++
-			}
-			timing.Record(fb[i].Gap, level.Latency(), fb[i].Flags&hier.FDep != 0)
-		}
-		free <- fb[:cap(fb)]
-	}
-}
-
-// runCapture is RunSingle's drive loop for stream-capture runs on a
-// block-capable hierarchy: the private levels run as FilterBlock, the
-// LLC-bound subsequence is both appended to the captured stream and
-// delivered to the LLC in one batch, and the timing model replays the
-// per-access levels from the filtered flags. The records appended are
-// the same gap-rewritten accesses hier.Core.Access would have handed
-// the CaptureLLC observer, in the same order.
-func runCapture(bg trace.BatchGenerator, core *hier.Core, llc *cache.Cache, timing *cpu.Core) []mem.Access {
-	var stream []mem.Access
-	var buf [genBatch]mem.Access
-	var fb [genBatch]hier.Filtered
-	var llcAs [genBatch]mem.Access
-	var llcRs [genBatch]cache.Result
-	for {
-		n := bg.NextBatch(buf[:])
-		if n == 0 {
-			return stream
-		}
-		core.FilterBlock(buf[:n], fb[:n])
-		m := 0
-		for i := 0; i < n; i++ {
-			if fb[i].Flags&hier.FLLCBound != 0 {
-				llcAs[m] = fb[i].LLC
-				m++
-			}
-		}
-		stream = append(stream, llcAs[:m]...)
-		llc.AccessBatch(llcAs[:m], llcRs[:m])
-		j := 0
-		for i := 0; i < n; i++ {
-			var level hier.Level
-			switch {
-			case fb[i].Flags&hier.FL1Hit != 0:
-				level = hier.LevelL1
-			case fb[i].Flags&hier.FL2Hit != 0:
-				level = hier.LevelL2
-			default:
-				level = hier.LevelMemory
-				if llcRs[j].Hit {
-					level = hier.LevelLLC
-				}
-				j++
-			}
-			timing.Record(fb[i].Gap, level.Latency(), fb[i].Flags&hier.FDep != 0)
-		}
-	}
+	fillAccuracy(res, pol)
 }
 
 // fillAccuracy extracts predictor-quality metrics when the policy is a
