@@ -6,6 +6,7 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -132,5 +133,41 @@ func TestProbeManifestEntries(t *testing.T) {
 	}
 	if _, ok := m2.Sim.Counters[obs.SimPrefix+"probe_runs"]; ok {
 		t.Error("sim_probe_runs present in a run without -interval")
+	}
+}
+
+// updateProbe rewrites the probe-series golden from this run.
+var updateProbe = flag.Bool("update-probe", false, "rewrite testdata/probe files from this run")
+
+// TestProbeExportGolden byte-compares the introspection pass's exports
+// (interval JSONL and Chrome trace events, at the golden scale) against
+// testdata/probe, so a change to how probed runs are driven cannot move
+// a single interval boundary, counter or per-PC row unnoticed.
+// Regenerate after an intentional change with
+//
+//	go test ./cmd/experiments -run TestProbeExportGolden -update-probe
+func TestProbeExportGolden(t *testing.T) {
+	jsonl, trace := runProbeExport(t)
+	for _, f := range []struct {
+		name string
+		got  []byte
+	}{{"series.jsonl", jsonl}, {"series.trace.json", trace}} {
+		path := filepath.Join("testdata", "probe", f.name)
+		if *updateProbe {
+			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, f.got, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("no probe golden (run with -update-probe to create): %v", err)
+		}
+		if !bytes.Equal(f.got, want) {
+			t.Errorf("%s differs from %s\n%s", f.name, path, firstDiff(string(want), string(f.got)))
+		}
 	}
 }
