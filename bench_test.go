@@ -21,6 +21,7 @@ import (
 	"sdbp/internal/cache"
 	"sdbp/internal/figures"
 	"sdbp/internal/hier"
+	"sdbp/internal/mem"
 	"sdbp/internal/policy"
 	"sdbp/internal/power"
 	"sdbp/internal/predictor"
@@ -244,23 +245,32 @@ func BenchmarkFig10bMulticoreRandom(b *testing.B) {
 
 // BenchmarkHierarchyAccess measures the simulator's raw per-reference
 // cost through L1/L2/LLC (not a paper figure; a performance guard for
-// the substrate itself).
+// the substrate itself), driven as the campaign drive loop drives it:
+// per block, FilterBlock over the private levels and one AccessBatch
+// for the block's LLC-bound records. One op is one reference.
 func BenchmarkHierarchyAccess(b *testing.B) {
 	w, err := workloads.ByName("456.hmmer")
 	if err != nil {
 		b.Fatal(err)
 	}
 	llc := cache.New(hier.LLCConfig(1), policy.NewLRU())
-	core := hier.NewCore(hier.DefaultConfig(), llc)
+	core := hier.NewCore(hier.DefaultConfig(), nil)
 	gen := w.Generator(1)
+	var as [256]mem.Access
+	var fb [256]hier.Filtered
+	var llcAs [256]mem.Access
+	var rs [256]cache.Result
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a, ok := gen.Next()
-		if !ok {
+	for done := 0; done < b.N; {
+		n := gen.NextBatch(as[:min(len(as), b.N-done)])
+		if n == 0 {
 			gen.Reset()
-			a, _ = gen.Next()
+			continue
 		}
-		core.Access(a)
+		core.FilterBlock(as[:n], fb[:n])
+		bound := hier.GatherLLC(llcAs[:0], fb[:n])
+		llc.AccessBatch(bound, rs[:len(bound)])
+		done += n
 	}
 }
 

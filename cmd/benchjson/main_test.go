@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -46,6 +47,27 @@ func TestParse(t *testing.T) {
 	abl := results[2]
 	if abl.Extra["gmean-full"] != 1.059 {
 		t.Errorf("custom metric not captured: %+v", abl.Extra)
+	}
+}
+
+// TestParseStampsShape: every record carries the machine shape it was
+// measured on, GOMAXPROCS read per record from its name suffix (absent
+// means 1) and the CPU model from go test's header.
+func TestParseStampsShape(t *testing.T) {
+	results, err := Parse(strings.NewReader(sampleOutput), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, procs := range []int{8, 1, 4} {
+		sh := results[i].Shape
+		if sh == nil {
+			t.Fatalf("%s: no shape", results[i].Name)
+		}
+		want := Shape{NumCPU: runtime.NumCPU(), GOMAXPROCS: procs,
+			CPUModel: "Intel(R) Xeon(R) Processor @ 2.10GHz", GoVersion: runtime.Version()}
+		if *sh != want {
+			t.Errorf("%s: shape %+v, want %+v", results[i].Name, *sh, want)
+		}
 	}
 }
 

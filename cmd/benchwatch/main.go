@@ -15,6 +15,12 @@
 // spread) before it counts, so tight benchmarks are held tight and
 // noisy ones are not flapped on. allocs/op has no noise: the median
 // must not grow at all.
+//
+// Records carry the machine shape benchjson stamped on them. When the
+// baseline's shape differs from the current run's (or either side has
+// none), the verdict names the difference and benchwatch says so on
+// stderr: the numbers are still compared, but not silently across
+// machines.
 package main
 
 import (
@@ -25,6 +31,7 @@ import (
 	"math"
 	"os"
 	"sort"
+	"strings"
 )
 
 // Result mirrors benchjson's record (the two commands are separate
@@ -36,6 +43,15 @@ type Result struct {
 	NsPerOp     float64  `json:"ns_per_op"`
 	BytesPerOp  *float64 `json:"bytes_per_op,omitempty"`
 	AllocsPerOp *float64 `json:"allocs_per_op,omitempty"`
+	Shape       *Shape   `json:"shape,omitempty"`
+}
+
+// Shape mirrors benchjson's machine shape.
+type Shape struct {
+	NumCPU     int    `json:"num_cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	CPUModel   string `json:"cpu_model,omitempty"`
+	GoVersion  string `json:"go_version,omitempty"`
 }
 
 // Comparison is one benchmark's verdict.
@@ -61,6 +77,14 @@ type Verdict struct {
 	Benchmarks    []Comparison `json:"benchmarks"`
 	Missing       []string     `json:"missing,omitempty"` // in baseline, absent from current
 	Regressions   int          `json:"regressions"`
+
+	// BaselineShape and CurrentShape are the machines each side was
+	// measured on (the first shaped record of each); ShapeMismatch
+	// describes how they differ, or that a side carries no shape, and
+	// is empty when both match.
+	BaselineShape *Shape `json:"baseline_shape,omitempty"`
+	CurrentShape  *Shape `json:"current_shape,omitempty"`
+	ShapeMismatch string `json:"shape_mismatch,omitempty"`
 }
 
 func main() {
@@ -100,6 +124,9 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return 1
 	}
 
+	if verdict.ShapeMismatch != "" {
+		fmt.Fprintf(stderr, "benchwatch: machine shape mismatch: %s\n", verdict.ShapeMismatch)
+	}
 	for _, c := range verdict.Benchmarks {
 		status := "ok"
 		if c.Regression {
@@ -229,7 +256,9 @@ func Compare(baseline, current []Result, minThreshold, noiseK float64) (Verdict,
 	baseNs, baseAllocs, order := group(base)
 	curNs, curAllocs, _ := group(cur)
 
-	v := Verdict{BaselineLabel: baseLabel, CurrentLabel: curLabel}
+	v := Verdict{BaselineLabel: baseLabel, CurrentLabel: curLabel,
+		BaselineShape: shapeOf(base), CurrentShape: shapeOf(cur)}
+	v.ShapeMismatch = shapeMismatch(v.BaselineShape, v.CurrentShape)
 	for _, name := range order {
 		curSamples, ok := curNs[name]
 		if !ok {
@@ -269,4 +298,38 @@ func Compare(baseline, current []Result, minThreshold, noiseK float64) (Verdict,
 		v.Benchmarks = append(v.Benchmarks, c)
 	}
 	return v, nil
+}
+
+// shapeOf returns the first machine shape among records, or nil.
+func shapeOf(records []Result) *Shape {
+	for _, r := range records {
+		if r.Shape != nil {
+			return r.Shape
+		}
+	}
+	return nil
+}
+
+// shapeMismatch describes how the baseline and current machine shapes
+// differ ("" when they match).
+func shapeMismatch(base, cur *Shape) string {
+	switch {
+	case base == nil && cur == nil:
+		return "neither baseline nor current records carry a machine shape"
+	case base == nil:
+		return "baseline records carry no machine shape"
+	case cur == nil:
+		return "current records carry no machine shape"
+	}
+	var diffs []string
+	add := func(field string, b, c any) {
+		if b != c {
+			diffs = append(diffs, fmt.Sprintf("%s %v (baseline) != %v (current)", field, b, c))
+		}
+	}
+	add("num_cpu", base.NumCPU, cur.NumCPU)
+	add("gomaxprocs", base.GOMAXPROCS, cur.GOMAXPROCS)
+	add("cpu_model", fmt.Sprintf("%q", base.CPUModel), fmt.Sprintf("%q", cur.CPUModel))
+	add("go_version", base.GoVersion, cur.GoVersion)
+	return strings.Join(diffs, "; ")
 }

@@ -219,3 +219,56 @@ func TestWatchUsageErrors(t *testing.T) {
 		t.Errorf("empty baseline: exit %d, want 1", code)
 	}
 }
+
+// withShape stamps every record with a copy of sh.
+func withShape(rs []Result, sh Shape) []Result {
+	for i := range rs {
+		s := sh
+		rs[i].Shape = &s
+	}
+	return rs
+}
+
+// TestCompareReportsShapeMismatch: a baseline measured on another
+// machine shape is named in the verdict JSON and on stderr instead of
+// being compared silently; the comparison itself still runs, and a
+// matching shape reports nothing.
+func TestCompareReportsShapeMismatch(t *testing.T) {
+	one := Shape{NumCPU: 1, GOMAXPROCS: 1, CPUModel: "Intel(R) Xeon(R) Processor", GoVersion: "go1.24.0"}
+	two := one
+	two.NumCPU, two.GOMAXPROCS = 2, 2
+	baseline := withShape(results("BenchmarkSingleCoreCampaign", "after", 33, 40e6, 41e6), one)
+
+	same := withShape(results("BenchmarkSingleCoreCampaign", "current", 33, 40e6), one)
+	if v, err := Compare(baseline, same, 0.10, 1.5); err != nil || v.ShapeMismatch != "" {
+		t.Errorf("matching shapes: mismatch %q, err %v", v.ShapeMismatch, err)
+	}
+	if v, _ := Compare(baseline, results("BenchmarkSingleCoreCampaign", "current", 33, 40e6), 0.10, 1.5); !strings.Contains(v.ShapeMismatch, "current records carry no machine shape") {
+		t.Errorf("unshaped current run: mismatch %q", v.ShapeMismatch)
+	}
+
+	current := withShape(results("BenchmarkSingleCoreCampaign", "current", 33, 40e6), two)
+	verdictPath := filepath.Join(t.TempDir(), "verdict.json")
+	var stdout, stderr bytes.Buffer
+	code := run([]string{"-baseline", writeJSON(t, "base.json", baseline),
+		"-current", writeJSON(t, "cur.json", current), "-out", verdictPath}, nil, &stdout, &stderr)
+	if code != 0 {
+		t.Fatalf("exit %d, want 0 (a shape mismatch is reported, not a regression)\nstderr: %s", code, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "machine shape mismatch") ||
+		!strings.Contains(stderr.String(), "num_cpu 1 (baseline) != 2 (current)") {
+		t.Errorf("stderr does not report the mismatch:\n%s", stderr.String())
+	}
+	data, err := os.ReadFile(verdictPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var v Verdict
+	if err := json.Unmarshal(data, &v); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(v.ShapeMismatch, "gomaxprocs 1 (baseline) != 2 (current)") ||
+		v.BaselineShape == nil || *v.BaselineShape != one || v.CurrentShape == nil || *v.CurrentShape != two {
+		t.Errorf("verdict does not carry the shapes and their difference: %+v", v)
+	}
+}

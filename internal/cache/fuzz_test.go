@@ -28,11 +28,10 @@ func decodeStream(data []byte) []mem.Access {
 		addr := uint64(data[i]) | uint64(data[i+1])<<8 | uint64(data[i+2])<<16 | uint64(data[i+3])<<24
 		fl := data[i+4]
 		out = append(out, mem.Access{
-			PC:        0x400000 + uint64(fl&0x3f)*4,
-			Addr:      addr,
-			Write:     fl&0x40 != 0,
-			Writeback: fl&0x80 != 0,
-			Gap:       uint32(fl & 7),
+			PC:    0x400000 + uint64(fl&0x3f)*4,
+			Addr:  addr,
+			Write: fl&0x40 != 0,
+			Gap:   uint32(fl & 7),
 		})
 	}
 	return out
@@ -41,7 +40,7 @@ func decodeStream(data []byte) []mem.Access {
 func FuzzCacheAccess(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0, 0})
-	// A seed with hits, conflict evictions, writes and a writeback.
+	// A seed with hits, conflict evictions and writes.
 	var seed []byte
 	for i := 0; i < 64; i++ {
 		seed = append(seed, byte(i*64), byte(i%4), 0, 0, byte(i))

@@ -22,8 +22,7 @@ type PCStats struct {
 	Predictions    uint64
 	Positives      uint64
 	FalsePositives uint64
-	// Evictions counts evictions of blocks this PC filled. Blocks
-	// filled by writebacks (which carry no PC) are charged to PC 0.
+	// Evictions counts evictions of blocks this PC filled.
 	Evictions uint64
 }
 
@@ -51,8 +50,8 @@ type Attribution struct {
 	index map[uint64]int32
 	arena []PCStats
 	pcs   []uint64 // arena index → PC (for iteration)
-	// fillPC is the PC of the demand access that filled each line (0
-	// for writeback fills and untracked lines).
+	// fillPC is the PC of the access that filled each line (0 for
+	// invalid lines).
 	fillPC []uint64
 	// deadPC is the PC whose prediction set the line's standing dead
 	// bit; meaningful only while the policy's dead bit is set.

@@ -5,15 +5,14 @@ import (
 	"sdbp/internal/mem"
 )
 
-// This file is the hierarchy's block-granular surface. The drive loops
-// in internal/sim hand whole blocks of demand accesses to a core at
-// once: FilterBlock runs the private L1/L2 levels as one tight loop,
-// GatherLLC collects the block's LLC-bound records for one
-// cache.AccessBatch call, and Filtered.Level decodes the per-access
-// levels the timing model needs. Together they are byte-identical to
-// repeated Access calls — pinned by the goldens and the policytest
-// batch differential — because no level ever reads another level's
-// state between accesses once write-back propagation is off.
+// This file is the hierarchy's block-granular surface, and the only
+// code that walks a demand access through the private levels: the
+// drive loops hand whole blocks of demand accesses to a core at once,
+// FilterBlock runs L1/L2 as one tight loop, GatherLLC collects the
+// block's LLC-bound records for one cache.AccessBatch call, and
+// Filtered.Level decodes the per-access levels the timing model needs.
+// Running the private levels a block ahead of the LLC is exact because
+// they never read LLC state: dirty victims are counted, not propagated.
 
 // Filtered is one access's outcome through the private levels, in the
 // form the ordered LLC merge consumes: which private level satisfied it
@@ -71,18 +70,12 @@ func (f *Filtered) PrivateLevel() Level {
 
 // FilterBlock runs a block of demand accesses through the private
 // levels only, writing one Filtered record per access into out (which
-// must satisfy len(out) >= len(as)). It is the block-granular form of a
-// capture-only core: L1/L2 state, statistics, and LLC gap rewriting
-// advance exactly as per-access Access calls would, but the LLC — if
-// any — is untouched, and LLC-bound records are returned in the out
-// array rather than delivered anywhere. Because the caller owns
-// delivering the LLC leg, FilterBlock requires PropagateWritebacks off
-// (the capture and multicore configurations): propagated write-backs
-// interleave levels in ways a per-access record cannot carry.
+// must satisfy len(out) >= len(as)). L1/L2 state and statistics advance
+// access by access, and each LLC-bound record's Gap is rewritten to the
+// instruction distance since the previous LLC-bound access from this
+// core; the LLC itself is untouched — the caller delivers the LLC-bound
+// records, one AccessBatch per block or one Access per record.
 func (c *Core) FilterBlock(as []mem.Access, out []Filtered) {
-	if c.writebacks {
-		panic("hier: FilterBlock requires PropagateWritebacks off")
-	}
 	out = out[:len(as)] // hoist the bounds check out of the loop
 	for i := range as {
 		a := &as[i]

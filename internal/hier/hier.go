@@ -9,7 +9,6 @@ package hier
 import (
 	"sdbp/internal/cache"
 	"sdbp/internal/cpu"
-	"sdbp/internal/mem"
 	"sdbp/internal/policy"
 )
 
@@ -56,17 +55,14 @@ func (l Level) String() string {
 }
 
 // Config sizes the private levels. DefaultConfig matches the paper.
+// Dirty victims are counted in each level's statistics (Writebacks)
+// and go no further: write-back traffic carries no program counter, so
+// the paper's predictors never see it.
 type Config struct {
 	// L1 is the per-core L1 data cache geometry.
 	L1 cache.Config
 	// L2 is the per-core unified L2 geometry.
 	L2 cache.Config
-	// PropagateWritebacks sends dirty L1 victims into the L2 and dirty
-	// L2 victims into the LLC as Writeback accesses (which predictors
-	// ignore and bypass never drops). The default, matching the runs
-	// recorded in EXPERIMENTS.md, only counts write-back traffic in
-	// each cache's statistics.
-	PropagateWritebacks bool
 }
 
 // DefaultConfig returns the paper's private-level geometry: L1D 32KB
@@ -85,31 +81,20 @@ func LLCConfig(cores int) cache.Config {
 }
 
 // Core is one hardware thread's private cache stack in front of a
-// (possibly shared) LLC.
+// (possibly shared) LLC. FilterBlock (block.go) walks demand accesses
+// through the private levels; the caller delivers the LLC-bound records
+// to LLC.
 type Core struct {
 	L1  *cache.Cache
 	L2  *cache.Cache
 	LLC *cache.Cache
 
-	// onLLC, when set, observes every access reaching the LLC with its
-	// Gap rewritten to the instruction distance since the previous LLC
-	// access from this core — the captured stream MIN replays.
-	onLLC func(a mem.Access)
-
-	// onLLCMiss, when set, observes demand misses in the LLC — the
-	// trigger point for prefetchers.
-	onLLCMiss func(a mem.Access)
-
-	// onLLCEvict, when set, observes LLC evictions with the displaced
-	// block's address — the trigger point for victim caches.
-	onLLCEvict func(evictedAddr uint64)
-
-	writebacks bool   // propagate dirty victims down the hierarchy
-	pendingGap uint64 // instructions since the last LLC access
+	pendingGap uint64 // instructions since the last LLC-bound access
 }
 
-// NewCore builds a private L1/L2 stack in front of llc (which may be
-// shared with other cores, or nil for capture-only runs).
+// NewCore builds a private L1/L2 stack in front of llc, which may be
+// shared with other cores, or nil for a filter-only core whose LLC-bound
+// records feed LLCs the caller owns.
 func NewCore(cfg Config, llc *cache.Cache) *Core {
 	// Only the LLC's efficiency is ever reported; skipping the private
 	// levels' accounting keeps their hit path free of per-line metadata.
@@ -122,10 +107,9 @@ func NewCore(cfg Config, llc *cache.Cache) *Core {
 	// exception in scripts/check_construction.sh. The direct call also
 	// keeps cache.PlainLRU devirtualization on the L1/L2 hit path.
 	return &Core{
-		L1:         cache.New(l1, policy.NewLRU()),
-		L2:         cache.New(l2, policy.NewLRU()),
-		LLC:        llc,
-		writebacks: cfg.PropagateWritebacks,
+		L1:  cache.New(l1, policy.NewLRU()),
+		L2:  cache.New(l2, policy.NewLRU()),
+		LLC: llc,
 	}
 }
 
@@ -145,81 +129,11 @@ func (s LevelStats) Total() cache.Stats {
 }
 
 // Stats returns the stack's per-level counters (a zero LLC entry for
-// capture-only cores with no LLC).
+// filter-only cores with no LLC).
 func (c *Core) Stats() LevelStats {
 	s := LevelStats{L1: c.L1.Stats(), L2: c.L2.Stats()}
 	if c.LLC != nil {
 		s.LLC = c.LLC.Stats()
 	}
 	return s
-}
-
-// CaptureLLC registers fn to observe the core's LLC access stream.
-func (c *Core) CaptureLLC(fn func(a mem.Access)) { c.onLLC = fn }
-
-// OnLLCMiss registers fn to observe the core's LLC demand misses.
-func (c *Core) OnLLCMiss(fn func(a mem.Access)) { c.onLLCMiss = fn }
-
-// OnLLCEvict registers fn to observe the core's LLC evictions.
-func (c *Core) OnLLCEvict(fn func(evictedAddr uint64)) { c.onLLCEvict = fn }
-
-// Access sends one demand reference down the hierarchy and reports the
-// level that satisfied it. All levels allocate on miss (subject to the
-// LLC policy's bypass decision). Dirty evictions are counted in each
-// cache's statistics; write-back traffic does not consume LLC predictor
-// bandwidth (writebacks carry no program counter, so the paper's
-// predictors ignore them).
-func (c *Core) Access(a mem.Access) Level {
-	c.pendingGap += uint64(a.Gap) + 1
-	r1 := c.L1.Access(a)
-	if c.writebacks && r1.EvictedDirty {
-		rwb := c.writeback(c.L2, r1.WritebackAddr, a.Thread)
-		if rwb.EvictedDirty && c.LLC != nil {
-			c.writeback(c.LLC, rwb.WritebackAddr, a.Thread)
-		}
-	}
-	if r1.Hit {
-		return LevelL1
-	}
-	r2 := c.L2.Access(a)
-	if c.writebacks && r2.EvictedDirty && c.LLC != nil {
-		c.writeback(c.LLC, r2.WritebackAddr, a.Thread)
-	}
-	if r2.Hit {
-		return LevelL2
-	}
-	llcA := a
-	gap := c.pendingGap - 1
-	if gap > 1<<32-1 {
-		gap = 1<<32 - 1
-	}
-	llcA.Gap = uint32(gap)
-	c.pendingGap = 0
-	if c.onLLC != nil {
-		c.onLLC(llcA)
-	}
-	if c.LLC == nil {
-		// Capture-only core: the LLC-bound record (gap rewritten) was
-		// still delivered to the observer above.
-		return LevelMemory
-	}
-	res := c.LLC.Access(llcA)
-	if res.Evicted && c.onLLCEvict != nil {
-		c.onLLCEvict(res.EvictedAddr)
-	}
-	if res.Hit {
-		return LevelLLC
-	}
-	if c.onLLCMiss != nil {
-		c.onLLCMiss(llcA)
-	}
-	return LevelMemory
-}
-
-// writeback delivers a dirty victim to the next level as a Writeback
-// access. Lower-level dirty victims it displaces propagate no further
-// here; the LLC's own dirty victims go to memory (counted in its
-// statistics).
-func (c *Core) writeback(to *cache.Cache, addr uint64, thread uint8) cache.Result {
-	return to.Access(mem.Access{Addr: addr, Write: true, Writeback: true, Thread: thread})
 }

@@ -120,10 +120,11 @@ func BatchDifferential(nameOrExpr string, stream []mem.Access, chunk int) string
 
 // HierBatchDifferential drives the same raw demand stream through two
 // fresh full hierarchies under the same policy expression — one
-// per-access through hier.Core.Access, one in chunks through the block
-// path the simulator's drive loop composes (FilterBlock over the
-// private levels' AccessPrivate, GatherLLC, the LLC's AccessBatch,
-// Filtered.Level) — and returns the first divergence in satisfying levels,
+// per-access through the scalar reference walk (scalarAccess), one in
+// chunks through the block path the simulator's drive loop composes
+// (FilterBlock over the private levels' AccessPrivate, GatherLLC, the
+// LLC's AccessBatch, Filtered.Level) — and returns the first divergence
+// in satisfying levels, LLC-bound records (gap rewriting included),
 // per-level statistics, or final tag state at any level ("" when
 // byte-identical).
 func HierBatchDifferential(nameOrExpr string, stream []mem.Access, chunk int) string {
@@ -132,20 +133,24 @@ func HierBatchDifferential(nameOrExpr string, stream []mem.Access, chunk int) st
 	batchCore := hier.NewCore(hier.DefaultConfig(), cache.New(hier.LLCConfig(1), p.Make(1)))
 
 	scalarLv := make([]hier.Level, len(stream))
+	var scalarLLC []mem.Access
+	var pending uint64
 	for i, a := range stream {
-		scalarLv[i] = scalarCore.Access(a)
+		scalarLv[i] = scalarAccess(scalarCore, a, &pending, &scalarLLC)
 	}
 	batchLv := make([]hier.Level, len(stream))
 	fb := make([]hier.Filtered, chunk)
 	rs := make([]cache.Result, chunk)
-	var llcAs []mem.Access
+	var batchLLC []mem.Access
 	for lo := 0; lo < len(stream); lo += chunk {
 		hi := lo + chunk
 		if hi > len(stream) {
 			hi = len(stream)
 		}
 		batchCore.FilterBlock(stream[lo:hi], fb[:hi-lo])
-		llcAs = hier.GatherLLC(llcAs[:0], fb[:hi-lo])
+		n := len(batchLLC)
+		batchLLC = hier.GatherLLC(batchLLC, fb[:hi-lo])
+		llcAs := batchLLC[n:]
 		batchCore.LLC.AccessBatch(llcAs, rs[:len(llcAs)])
 		next := 0
 		for i := range fb[:hi-lo] {
@@ -158,6 +163,14 @@ func HierBatchDifferential(nameOrExpr string, stream []mem.Access, chunk int) st
 			return fmt.Sprintf("access %d: scalar level %v != batch level %v", i, scalarLv[i], batchLv[i])
 		}
 	}
+	if len(scalarLLC) != len(batchLLC) {
+		return fmt.Sprintf("LLC-bound records: scalar %d != batch %d", len(scalarLLC), len(batchLLC))
+	}
+	for i := range scalarLLC {
+		if scalarLLC[i] != batchLLC[i] {
+			return fmt.Sprintf("LLC-bound record %d: scalar %+v != batch %+v", i, scalarLLC[i], batchLLC[i])
+		}
+	}
 	if s, b := scalarCore.Stats(), batchCore.Stats(); s != b {
 		return fmt.Sprintf("level stats diverged:\n  scalar %+v\n  batch  %+v", s, b)
 	}
@@ -168,6 +181,29 @@ func HierBatchDifferential(nameOrExpr string, stream []mem.Access, chunk int) st
 		return msg
 	}
 	return diffKeys("LLC", scalarCore.LLC, batchCore.LLC)
+}
+
+// scalarAccess is the reference the block path is checked against: one
+// demand access down L1, L2 and the LLC through the general
+// cache.Access path, each level allocating on miss. An access both
+// private levels miss reaches the LLC with its Gap rewritten to the
+// instructions retired since the previous LLC-bound access (*pending
+// carries that count between calls) and is appended to *llc.
+func scalarAccess(c *hier.Core, a mem.Access, pending *uint64, llc *[]mem.Access) hier.Level {
+	*pending += uint64(a.Gap) + 1
+	if c.L1.Access(a).Hit {
+		return hier.LevelL1
+	}
+	if c.L2.Access(a).Hit {
+		return hier.LevelL2
+	}
+	a.Gap = uint32(min(*pending-1, 1<<32-1))
+	*pending = 0
+	*llc = append(*llc, a)
+	if c.LLC.Access(a).Hit {
+		return hier.LevelLLC
+	}
+	return hier.LevelMemory
 }
 
 // diffKeys compares two caches' complete tag state.

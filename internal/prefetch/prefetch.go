@@ -74,30 +74,30 @@ func Run(w workloads.Workload, pol cache.Policy, cfg Config, scale float64) Resu
 		panic("prefetch: negative degree")
 	}
 	llc := cache.New(hier.LLCConfig(1), pol)
-	core := hier.NewCore(hier.DefaultConfig(), llc)
+	core := hier.NewCore(hier.DefaultConfig(), nil)
 	timing := cpu.New(cpu.DefaultConfig())
-
 	res := Result{Benchmark: w.Name, Policy: pol.Name()}
-	core.OnLLCMiss(func(a mem.Access) {
-		for i := 1; i <= cfg.Degree; i++ {
-			res.Issued++
-			p := a
-			p.Addr = mem.BlockAddr(a.Addr) + uint64(i)*mem.BlockSize
-			p.Write = false
-			if llc.InsertPrefetch(p) {
-				timing.ChargeDRAM()
-			}
-		}
-	})
 
+	// The private levels filter a block at a time; the LLC leg stays one
+	// record at a time because a miss's prefetch fills change the LLC
+	// before the next record reaches it.
 	gen := w.Generator(scale)
-	for {
-		a, ok := gen.Next()
-		if !ok {
-			break
+	var as [256]mem.Access
+	var fb [256]hier.Filtered
+	for n := gen.NextBatch(as[:]); n > 0; n = gen.NextBatch(as[:]) {
+		core.FilterBlock(as[:n], fb[:n])
+		for i := range fb[:n] {
+			f := &fb[i]
+			level := f.PrivateLevel()
+			if level == hier.LevelMemory {
+				if llc.Access(f.LLC).Hit {
+					level = hier.LevelLLC
+				} else {
+					res.Issued += prefetch(llc, timing, f.LLC, cfg.Degree)
+				}
+			}
+			timing.Record(f.Gap, level.Latency(), f.Flags&hier.FDep != 0)
 		}
-		level := core.Access(a)
-		timing.Record(a.Gap, level.Latency(), a.DependentLoad)
 	}
 	llc.Finish()
 
@@ -109,4 +109,19 @@ func Run(w workloads.Workload, pol cache.Policy, cfg Config, scale float64) Resu
 		res.DemandMPKI = float64(s.Misses) / (float64(n) / 1000)
 	}
 	return res
+}
+
+// prefetch issues the degree sequential blocks after a demand miss's
+// block and returns how many it issued. Each fill the placement rule
+// admits consumes DRAM bandwidth in the timing model.
+func prefetch(llc *cache.Cache, timing *cpu.Core, miss mem.Access, degree int) uint64 {
+	for i := 1; i <= degree; i++ {
+		p := miss
+		p.Addr = mem.BlockAddr(miss.Addr) + uint64(i)*mem.BlockSize
+		p.Write = false
+		if llc.InsertPrefetch(p) {
+			timing.ChargeDRAM()
+		}
+	}
+	return uint64(degree)
 }

@@ -6,9 +6,9 @@ import (
 	"testing"
 
 	"sdbp/internal/cache"
-	"sdbp/internal/cpu"
 	"sdbp/internal/dbrb"
 	"sdbp/internal/hier"
+	"sdbp/internal/mem"
 	"sdbp/internal/policy"
 	"sdbp/internal/predictor"
 	"sdbp/internal/workloads"
@@ -36,28 +36,25 @@ func TestDiagMissByPC(t *testing.T) {
 	} {
 		pol := mk.pol()
 		llc := cache.New(hier.LLCConfig(1), pol)
-		core := hier.NewCore(hier.DefaultConfig(), llc)
-		timing := cpu.New(cpu.DefaultConfig())
+		core := hier.NewCore(hier.DefaultConfig(), nil)
 		miss := map[uint64]int{}
 		hit := map[uint64]int{}
 		gen := w.Generator(0.5)
-		for {
-			a, ok := gen.Next()
-			if !ok {
-				break
-			}
-			before := llc.Stats()
-			level := core.Access(a)
-			after := llc.Stats()
-			if after.Accesses > before.Accesses {
-				site := a.PC &^ 0xFF // bucket nearby burst sites
-				if after.Misses > before.Misses {
-					miss[site]++
-				} else {
+		var as [256]mem.Access
+		var fb [256]hier.Filtered
+		for n := gen.NextBatch(as[:]); n > 0; n = gen.NextBatch(as[:]) {
+			core.FilterBlock(as[:n], fb[:n])
+			for i := range fb[:n] {
+				if fb[i].Flags&hier.FLLCBound == 0 {
+					continue
+				}
+				site := fb[i].LLC.PC &^ 0xFF // bucket nearby burst sites
+				if llc.Access(fb[i].LLC).Hit {
 					hit[site]++
+				} else {
+					miss[site]++
 				}
 			}
-			timing.Record(a.Gap, level.Latency(), a.DependentLoad)
 		}
 		type row struct {
 			pc   uint64

@@ -3,7 +3,6 @@ package sim
 import (
 	"sdbp/internal/cache"
 	"sdbp/internal/hier"
-	"sdbp/internal/trace"
 	"sdbp/internal/workloads"
 )
 
@@ -53,7 +52,7 @@ func CompareLLC(w workloads.Workload, polA, polB cache.Policy, opts SingleOption
 	llcA := cache.New(opts.LLC, polA)
 	llcB := cache.New(opts.LLC, polB)
 	p := &producer{
-		gen:  w.Generator(opts.Scale).(trace.BatchGenerator),
+		gen:  w.Generator(opts.Scale),
 		core: hier.NewCore(hier.DefaultConfig(), nil),
 	}
 	res := DiffResult{Benchmark: w.Name, PolicyA: polA.Name(), PolicyB: polB.Name()}

@@ -20,7 +20,7 @@ func DriveWith(gen trace.Generator, pol cache.Policy, concurrent bool) SingleRes
 	var opts SingleOptions
 	opts.normalize()
 	var l lane
-	l.start(workloads.Workload{Name: "stand-in"}, func() cache.Policy { return pol }, opts.LLC)
+	l.start(workloads.Workload{Name: "stand-in"}, func() cache.Policy { return pol }, opts.LLC, nil)
 	drive(newProducer(gen, opts), opts, []*lane{&l}, concurrent, time.Now())
 	return l.res
 }

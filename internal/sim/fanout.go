@@ -1,6 +1,6 @@
 package sim
 
-// The fan-out drive, which every unprobed single-core run goes through:
+// The fan-out drive, which every single-core run goes through:
 // a producer generates each block of the reference stream, filters it
 // through the private L1/L2 levels and gathers its LLC-bound records
 // once, and K lanes, each owning an LLC and a core timing model, replay
@@ -17,6 +17,7 @@ import (
 	"sdbp/internal/cpu"
 	"sdbp/internal/hier"
 	"sdbp/internal/mem"
+	"sdbp/internal/probe"
 	"sdbp/internal/trace"
 	"sdbp/internal/workloads"
 )
@@ -56,8 +57,8 @@ func (p *Panic) PanicStack() string { return p.Stack }
 // lane, in order. Each successful result is byte-identical to RunSingle
 // with the lane's policy and geometry. opts applies to every lane; a
 // captured stream is the policy-independent LLC-bound stream, shared by
-// the results. Probed runs cannot fan out: opts.Probe must be nil or
-// disabled.
+// the results. With opts.Probe enabled every lane records its own
+// interval telemetry and per-PC attribution into its result's Probe.
 //
 // On a multi-CPU host a producer goroutine generates and filters ahead
 // of the lanes. A panic in the generator or private levels, on either
@@ -79,7 +80,7 @@ type block struct {
 // producer is the policy-independent half of a run, with the optional
 // stream-capture tap.
 type producer struct {
-	gen     trace.BatchGenerator
+	gen     trace.Generator
 	core    *hier.Core
 	capture bool
 	stream  []mem.Access
@@ -89,8 +90,7 @@ type producer struct {
 
 func newProducer(gen trace.Generator, opts SingleOptions) *producer {
 	return &producer{
-		// Every workload stream (program or memo replay) is batch-capable.
-		gen:     gen.(trace.BatchGenerator),
+		gen:     gen,
 		core:    hier.NewCore(hier.DefaultConfig(), nil),
 		capture: opts.CaptureStream,
 	}
@@ -125,6 +125,12 @@ type lane struct {
 	timing *cpu.Core
 	rs     [genBatch]cache.Result
 	err    error
+
+	// A probed lane's interval sampler and attribution table (nil
+	// otherwise).
+	probe   *probe.Config
+	sampler *intervalSampler
+	attr    attributionProvider
 }
 
 // guard turns a panic in the lane's code into the lane's failure; it
@@ -135,17 +141,39 @@ func (l *lane) guard() {
 	}
 }
 
-func (l *lane) start(w workloads.Workload, newPolicy func() cache.Policy, cfg cache.Config) {
+// start builds the lane's LLC and timing model; an enabled pc makes it
+// a probed lane.
+func (l *lane) start(w workloads.Workload, newPolicy func() cache.Policy, cfg cache.Config, pc *probe.Config) {
 	defer l.guard()
 	l.pol = newPolicy()
+	if pc != nil && pc.Enabled() {
+		// Opt the policy into per-PC attribution before cache.New runs
+		// its Reset, which sizes the table.
+		l.probe, l.attr = pc, enableAttribution(l.pol)
+	}
 	l.llc = cache.New(cfg, l.pol)
 	l.timing = cpu.New(cpu.DefaultConfig())
+	l.sampler = newIntervalSampler(l.probe, l.llc, l.timing, l.pol)
 	l.res = SingleResult{Benchmark: w.Name, Policy: l.pol.Name()}
 }
 
+// replay runs a block into the lane. A probed lane cuts the block after
+// each record that reaches the sampler's next boundary and samples
+// there, so intervals close after the same access as they would in a
+// per-access loop.
 func (l *lane) replay(b *block) {
 	defer l.guard()
-	replayFiltered(l.llc, l.timing, b.fb, b.llc, l.rs[:])
+	if l.sampler == nil {
+		replayFiltered(l.llc, l.timing, b.fb, b.llc, l.rs[:])
+		return
+	}
+	fb, llcAs := b.fb, b.llc
+	for len(fb) > 0 {
+		n, k := l.sampler.cut(fb)
+		replayFiltered(l.llc, l.timing, fb[:n], llcAs[:k], l.rs[:])
+		l.sampler.maybeSample()
+		fb, llcAs = fb[n:], llcAs[k:]
+	}
 }
 
 // replayFiltered runs filtered records through an LLC and a timing
@@ -166,14 +194,15 @@ func (l *lane) finish(private hier.LevelStats, opts SingleOptions) {
 	l.llc.Finish()
 	private.LLC = l.llc.Stats()
 	finishResult(&l.res, l.llc, l.timing, l.pol, private, opts)
+	if l.sampler != nil {
+		l.sampler.finish()
+		l.res.Probe = buildSeries(&l.res, l.probe, l.sampler.intervals, l.attr)
+	}
 }
 
 // runFanout is RunFanout with the producer placement explicit.
 func runFanout(w workloads.Workload, opts SingleOptions, specs []Lane, concurrent bool) []LaneResult {
 	opts.normalize()
-	if opts.Probe != nil && opts.Probe.Enabled() {
-		panic("sim: probed runs cannot fan out")
-	}
 	start := time.Now()
 	lanes := make([]*lane, len(specs))
 	for i, spec := range specs {
@@ -182,7 +211,7 @@ func runFanout(w workloads.Workload, opts SingleOptions, specs []Lane, concurren
 			cfg = spec.LLC
 		}
 		lanes[i] = &lane{}
-		lanes[i].start(w, spec.Policy, cfg)
+		lanes[i].start(w, spec.Policy, cfg, opts.Probe)
 	}
 	drive(newProducer(w.Generator(opts.Scale), opts), opts, lanes, concurrent, start)
 	out := make([]LaneResult, len(lanes))

@@ -10,6 +10,7 @@ import (
 	"sdbp/internal/exp"
 	"sdbp/internal/mem"
 	"sdbp/internal/policy/policytest"
+	"sdbp/internal/probe"
 	"sdbp/internal/sim"
 	"sdbp/internal/trace"
 	"sdbp/internal/workloads"
@@ -33,7 +34,8 @@ func stripTiming(r sim.SingleResult) sim.SingleResult {
 // fanned out to every registry policy spelling, plus lanes that differ
 // only in LLC geometry, must reproduce K separate RunSingle calls
 // byte for byte — through both producer placements, on a memoized
-// stream and on one above the stream memo's cap (a generated one).
+// stream and on one above the stream memo's cap (a generated one), and
+// with every lane probed (interval series and per-PC tables included).
 func TestFanoutMatchesSeparateRuns(t *testing.T) {
 	w, err := workloads.ByName("456.hmmer")
 	if err != nil {
@@ -45,9 +47,11 @@ func TestFanoutMatchesSeparateRuns(t *testing.T) {
 		name   string
 		scale  float64
 		replay bool // stream served from the memo
+		probe  *probe.Config
 	}{
-		{"memoized", 0.02, true},
-		{"above-memo-cap", 0.202, false},
+		{"memoized", 0.02, true, nil},
+		{"above-memo-cap", 0.202, false, nil},
+		{"probed", 0.02, true, &probe.Config{Interval: 7000, TopK: 5}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if !tc.replay && testing.Short() {
@@ -57,7 +61,7 @@ func TestFanoutMatchesSeparateRuns(t *testing.T) {
 			if replay != tc.replay {
 				t.Fatalf("scale %g: memo replay = %t, want %t", tc.scale, replay, tc.replay)
 			}
-			opts := sim.SingleOptions{Scale: tc.scale, CaptureStream: true}
+			opts := sim.SingleOptions{Scale: tc.scale, CaptureStream: true, Probe: tc.probe}
 			var lanes []sim.Lane
 			var want []sim.SingleResult
 			for _, e := range exprs {
@@ -84,6 +88,9 @@ func TestFanoutMatchesSeparateRuns(t *testing.T) {
 						t.Fatalf("%s lane %d: %v", pr.name, i, r.Err)
 					}
 					passes += r.Result.FilterPasses
+					if (r.Result.Probe == nil) != (tc.probe == nil) {
+						t.Fatalf("%s lane %d: probe series present = %t, want %t", pr.name, i, r.Result.Probe != nil, tc.probe != nil)
+					}
 					if !reflect.DeepEqual(stripTiming(r.Result), stripTiming(want[i])) {
 						t.Errorf("%s lane %d (%s): fan-out result differs from RunSingle", pr.name, i, want[i].Policy)
 					}
@@ -173,8 +180,7 @@ func TestRunSinglePanicCarriesStack(t *testing.T) {
 // panicGen is a stream whose second batch panics.
 type panicGen struct{ batches int }
 
-func (g *panicGen) Reset()                   {}
-func (g *panicGen) Next() (mem.Access, bool) { panic("panicGen: Next is not used") }
+func (g *panicGen) Reset() {}
 
 func (g *panicGen) NextBatch(dst []mem.Access) int {
 	if g.batches++; g.batches > 1 {

@@ -119,32 +119,18 @@ func prefilter(id int, mixName string, gen trace.Generator, filter *hier.Core,
 	recs, free chan []hier.Filtered, errc chan error, stop <-chan struct{}) {
 	defer close(recs)
 	buf := make([]mem.Access, mcChunk)
-	bg, _ := gen.(trace.BatchGenerator)
 	for {
 		n := 0
 		for n < mcChunk {
-			if bg != nil {
-				k := bg.NextBatch(buf[n:])
-				if k == 0 {
-					gen.Reset()
-					if k = bg.NextBatch(buf[n:]); k == 0 {
-						errc <- fmt.Errorf("sim: mix %s: empty workload stream on core %d", mixName, id)
-						return
-					}
+			k := gen.NextBatch(buf[n:])
+			if k == 0 {
+				gen.Reset()
+				if k = gen.NextBatch(buf[n:]); k == 0 {
+					errc <- fmt.Errorf("sim: mix %s: empty workload stream on core %d", mixName, id)
+					return
 				}
-				n += k
-			} else {
-				a, ok := gen.Next()
-				if !ok {
-					gen.Reset()
-					if a, ok = gen.Next(); !ok {
-						errc <- fmt.Errorf("sim: mix %s: empty workload stream on core %d", mixName, id)
-						return
-					}
-				}
-				buf[n] = a
-				n++
 			}
+			n += k
 		}
 		for i := range buf {
 			buf[i].Thread = uint8(id)
@@ -168,9 +154,9 @@ func prefilter(id int, mixName string, gen trace.Generator, filter *hier.Core,
 
 // accumPrivate replays one pre-filtered record's private-level counter
 // effects into the run's summed L1/L2 statistics. The flags carry
-// everything the private caches counted for a demand access (writebacks
-// are not propagated in this configuration, and private LRU caches
-// never bypass or hold prefetches), so the sums match reading the
+// everything the private caches counted for a demand access (dirty
+// victims are counted, never propagated, and private LRU caches never
+// bypass or hold prefetches), so the sums match reading the
 // caches' own statistics over the consumed prefix — which the producer
 // caches themselves cannot provide, since they run ahead of the merge.
 func accumPrivate(res *MulticoreResult, flags uint16) {

@@ -1,13 +1,13 @@
 package sim
 
 // Interval telemetry for single-core runs: when SingleOptions.Probe
-// asks for it, the drive loop snapshots deltas of the LLC's
-// cache.Stats, the timing model's cycles and the policy's
-// dbrb.Accuracy every Probe.Interval retired instructions, producing
-// the deterministic probe.Series the exporters and cmd/report consume.
-// With Probe nil (the default) none of this exists: the loop pays one
-// nil check per access and the simulated results are byte-identical to
-// a probe-free build (pinned by the committed goldens).
+// asks for it, each lane snapshots deltas of the LLC's cache.Stats, the
+// timing model's cycles and the policy's dbrb.Accuracy every
+// Probe.Interval retired instructions, producing the deterministic
+// probe.Series the exporters and cmd/report consume. With Probe nil
+// (the default) none of this exists: a lane pays one nil check per
+// block and the simulated results are byte-identical to a probe-free
+// build (pinned by the committed goldens).
 
 import (
 	"reflect"
@@ -15,6 +15,7 @@ import (
 	"sdbp/internal/cache"
 	"sdbp/internal/cpu"
 	"sdbp/internal/dbrb"
+	"sdbp/internal/hier"
 	"sdbp/internal/predictor"
 	"sdbp/internal/probe"
 )
@@ -64,10 +65,10 @@ func enableAttribution(pol cache.Policy) attributionProvider {
 	return ap
 }
 
-// intervalSampler accumulates the interval time series during the
-// drive loop. All reads are of state the simulation already keeps
-// (cache.Stats, the timing model's counters, the policy's accuracy
-// tallies), so sampling perturbs nothing it measures.
+// intervalSampler accumulates a lane's interval time series. All reads
+// are of state the simulation already keeps (cache.Stats, the timing
+// model's counters, the policy's accuracy tallies), so sampling
+// perturbs nothing it measures.
 type intervalSampler struct {
 	every  uint64
 	next   uint64
@@ -84,8 +85,8 @@ type intervalSampler struct {
 }
 
 // newIntervalSampler returns a sampler, or nil when cfg asks for no
-// interval telemetry — the drive loop's nil check then disables
-// sampling entirely.
+// interval telemetry — the lane's nil check then disables sampling
+// entirely.
 func newIntervalSampler(cfg *probe.Config, llc *cache.Cache, timing *cpu.Core, pol cache.Policy) *intervalSampler {
 	if cfg == nil || !cfg.Enabled() {
 		return nil
@@ -93,6 +94,24 @@ func newIntervalSampler(cfg *probe.Config, llc *cache.Cache, timing *cpu.Core, p
 	s := &intervalSampler{every: cfg.Interval, next: cfg.Interval, llc: llc, timing: timing}
 	s.acc, _ = accuracyOf(pol)
 	return s
+}
+
+// cut returns the length n of fb's shortest prefix whose retirement
+// reaches the next boundary (all of fb when none does) and how many of
+// those n records are LLC-bound: the span a lane replays before it
+// calls maybeSample. Timing retires Gap+1 instructions per record.
+func (s *intervalSampler) cut(fb []hier.Filtered) (n, llc int) {
+	instr := s.timing.Instructions()
+	for i := range fb {
+		instr += uint64(fb[i].Gap) + 1
+		if fb[i].Flags&hier.FLLCBound != 0 {
+			llc++
+		}
+		if instr >= s.next {
+			return i + 1, llc
+		}
+	}
+	return len(fb), llc
 }
 
 // maybeSample emits an interval when the retired-instruction count has

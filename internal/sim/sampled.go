@@ -22,7 +22,6 @@ import (
 	"sdbp/internal/mem"
 	"sdbp/internal/probe"
 	"sdbp/internal/sampling"
-	"sdbp/internal/trace"
 	"sdbp/internal/workloads"
 )
 
@@ -132,7 +131,7 @@ func MaterializeSampled(w workloads.Workload, plan *sampling.Plan, scale float64
 
 	var cum uint64 // instructions retired after the current access
 	lo := 0        // first window whose End is still ahead of cum
-	gen := w.Generator(scale).(trace.BatchGenerator)
+	gen := w.Generator(scale)
 	capture := func(a mem.Access) {
 		cum += uint64(a.Gap) + 1
 		m.TotalAccesses++

@@ -16,7 +16,6 @@ import (
 	"sdbp/internal/mem"
 	"sdbp/internal/predictor"
 	"sdbp/internal/probe"
-	"sdbp/internal/trace"
 	"sdbp/internal/workloads"
 )
 
@@ -100,67 +99,22 @@ func (o *SingleOptions) normalize() {
 }
 
 // RunSingle simulates one benchmark on one core with the given LLC
-// policy and returns the run's metrics. It is the one-lane fan-out
-// (see RunFanout), except for probed runs, which keep a per-access
-// loop. A panic in the policy, the generator or the private levels
-// propagates to the caller as a *Panic carrying the original stack.
+// policy and returns the run's metrics. It is the one-lane fan-out (see
+// RunFanout). A panic in the policy, the generator or the private
+// levels propagates to the caller as a *Panic carrying the original
+// stack.
 func RunSingle(w workloads.Workload, pol cache.Policy, opts SingleOptions) SingleResult {
-	if opts.Probe != nil && opts.Probe.Enabled() {
-		return runProbed(w, pol, opts)
-	}
 	opts.normalize()
 	start := time.Now()
 	// Drive the one lane directly: RunFanout's lane and result slices
 	// would add allocations to every single run.
 	var l lane
-	l.start(w, func() cache.Policy { return pol }, opts.LLC)
+	l.start(w, func() cache.Policy { return pol }, opts.LLC, opts.Probe)
 	drive(newProducer(w.Generator(opts.Scale), opts), opts, []*lane{&l}, runtime.NumCPU() > 1, start)
 	if l.err != nil {
 		panic(l.err)
 	}
 	return l.res
-}
-
-// runProbed is RunSingle with interval telemetry: the sampler reads
-// the timing model and LLC statistics after every access, so hierarchy
-// and timing may not be regrouped into blocks. Batched generation
-// still amortizes the generator dispatch.
-func runProbed(w workloads.Workload, pol cache.Policy, opts SingleOptions) SingleResult {
-	opts.normalize()
-	start := time.Now()
-	// Opt the policy into per-PC attribution before cache.New runs its
-	// Reset, which sizes the table.
-	ap := enableAttribution(pol)
-	llc := cache.New(opts.LLC, pol)
-	core := hier.NewCore(hier.DefaultConfig(), llc)
-	timing := cpu.New(cpu.DefaultConfig())
-	ps := newIntervalSampler(opts.Probe, llc, timing, pol)
-	res := SingleResult{Benchmark: w.Name, Policy: pol.Name(), FilterPasses: 1}
-	if opts.CaptureStream {
-		core.CaptureLLC(func(a mem.Access) { res.Stream = append(res.Stream, a) })
-	}
-
-	gen := w.Generator(opts.Scale).(trace.BatchGenerator)
-	var buf [genBatch]mem.Access
-	for {
-		n := gen.NextBatch(buf[:])
-		if n == 0 {
-			break
-		}
-		for i := range buf[:n] {
-			a := buf[i]
-			level := core.Access(a)
-			timing.Record(a.Gap, level.Latency(), a.DependentLoad)
-			ps.maybeSample()
-		}
-	}
-	llc.Finish()
-
-	finishResult(&res, llc, timing, pol, core.Stats(), opts)
-	ps.finish()
-	res.Probe = buildSeries(&res, opts.Probe, ps.intervals, ap)
-	res.Duration = time.Since(start)
-	return res
 }
 
 // finishResult fills a run's metrics from its finished LLC, timing

@@ -27,13 +27,11 @@ var ErrBadTrace = errors.New("trace: malformed trace file")
 
 // Write serializes a stream of accesses. It drains the generator.
 func Write(w io.Writer, g Generator) (int, error) {
+	var batch [256]mem.Access
 	// Count first: deterministic generators replay exactly.
 	n := 0
-	for {
-		if _, ok := g.Next(); !ok {
-			break
-		}
-		n++
+	for k := g.NextBatch(batch[:]); k > 0; k = g.NextBatch(batch[:]) {
+		n += k
 	}
 	g.Reset()
 
@@ -58,37 +56,35 @@ func Write(w io.Writer, g Generator) (int, error) {
 
 	var prevPC, prevAddr uint64
 	written := 0
-	for {
-		a, ok := g.Next()
-		if !ok {
-			break
-		}
-		if err := putS(int64(a.PC - prevPC)); err != nil {
-			return written, err
-		}
-		if err := putS(int64(a.Addr - prevAddr)); err != nil {
-			return written, err
-		}
-		prevPC, prevAddr = a.PC, a.Addr
-		flags := uint64(a.Gap) << 3
-		if a.DependentLoad {
-			flags |= 1 << 2
-		}
-		if a.Write {
-			flags |= 1 << 1
-		}
-		if a.Thread != 0 {
-			flags |= 1
-		}
-		if err := put(flags); err != nil {
-			return written, err
-		}
-		if a.Thread != 0 {
-			if err := put(uint64(a.Thread)); err != nil {
+	for k := g.NextBatch(batch[:]); k > 0; k = g.NextBatch(batch[:]) {
+		for _, a := range batch[:k] {
+			if err := putS(int64(a.PC - prevPC)); err != nil {
 				return written, err
 			}
+			if err := putS(int64(a.Addr - prevAddr)); err != nil {
+				return written, err
+			}
+			prevPC, prevAddr = a.PC, a.Addr
+			flags := uint64(a.Gap) << 3
+			if a.DependentLoad {
+				flags |= 1 << 2
+			}
+			if a.Write {
+				flags |= 1 << 1
+			}
+			if a.Thread != 0 {
+				flags |= 1
+			}
+			if err := put(flags); err != nil {
+				return written, err
+			}
+			if a.Thread != 0 {
+				if err := put(uint64(a.Thread)); err != nil {
+					return written, err
+				}
+			}
+			written++
 		}
-		written++
 	}
 	return written, bw.Flush()
 }
@@ -159,17 +155,7 @@ func NewReader(r io.Reader) (*Reader, error) {
 // Reset implements Generator.
 func (r *Reader) Reset() { r.pos = 0 }
 
-// Next implements Generator.
-func (r *Reader) Next() (mem.Access, bool) {
-	if r.pos >= len(r.records) {
-		return mem.Access{}, false
-	}
-	a := r.records[r.pos]
-	r.pos++
-	return a, true
-}
-
-// NextBatch implements BatchGenerator: a bulk copy from the decoded
+// NextBatch implements Generator: a bulk copy from the decoded
 // records.
 func (r *Reader) NextBatch(dst []mem.Access) int {
 	n := copy(dst, r.records[r.pos:])

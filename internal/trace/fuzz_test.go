@@ -59,18 +59,10 @@ func FuzzTraceFileRoundTrip(f *testing.F) {
 			t.Fatalf("round trip changed record count: %d != %d", r2.Len(), r1.Len())
 		}
 		r1.Reset()
-		r2.Reset()
-		for i := 0; ; i++ {
-			a1, ok1 := r1.Next()
-			a2, ok2 := r2.Next()
-			if ok1 != ok2 {
-				t.Fatalf("record %d: stream lengths diverge", i)
-			}
-			if !ok1 {
-				break
-			}
-			if a1 != a2 {
-				t.Fatalf("record %d changed across round trip:\n first: %+v\n again: %+v", i, a1, a2)
+		s1, s2 := Collect(r1), Collect(r2)
+		for i := range s1 {
+			if s1[i] != s2[i] {
+				t.Fatalf("record %d changed across round trip:\n first: %+v\n again: %+v", i, s1[i], s2[i])
 			}
 		}
 	})

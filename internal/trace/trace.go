@@ -8,12 +8,20 @@ package trace
 
 import "sdbp/internal/mem"
 
-// Generator produces a finite, deterministic stream of memory accesses.
-// Reset rewinds it to the beginning of the identical stream.
+// Generator produces a finite, deterministic stream of memory accesses
+// in blocks, so drive loops pay the interface dispatch once per block
+// instead of once per access. Reset rewinds it to the beginning of the
+// identical stream.
 type Generator interface {
 	Reset()
-	Next() (mem.Access, bool)
+	// NextBatch fills dst from the stream and returns how many accesses
+	// were produced; 0 means the stream is exhausted.
+	NextBatch(dst []mem.Access) int
 }
+
+// BatchGenerator is an alias of Generator, kept because
+// campaignbench/traced.go, a separate module, still names it.
+type BatchGenerator = Generator
 
 // Region is a contiguous range of cache blocks a kernel works over.
 type Region struct {
@@ -117,27 +125,7 @@ func (p *Program) Reset() {
 	p.n = 0
 }
 
-// Next implements Generator.
-func (p *Program) Next() (mem.Access, bool) {
-	if p.n >= p.length {
-		return mem.Access{}, false
-	}
-	p.n++
-	return p.kernel.Step(p.r), true
-}
-
-// BatchGenerator is implemented by generators that can fill a caller's
-// buffer in one call, so drive loops pay the interface dispatch once
-// per batch instead of once per access. The stream produced is
-// identical to repeated Next calls.
-type BatchGenerator interface {
-	Generator
-	// NextBatch fills dst from the stream and returns how many accesses
-	// were produced; 0 means the stream is exhausted.
-	NextBatch(dst []mem.Access) int
-}
-
-// NextBatch implements BatchGenerator.
+// NextBatch implements Generator.
 func (p *Program) NextBatch(dst []mem.Access) int {
 	n := p.length - p.n
 	if n > len(dst) {
@@ -155,8 +143,8 @@ func (p *Program) NextBatch(dst []mem.Access) int {
 func (p *Program) Length() int { return p.length }
 
 // Replay adapts a pre-collected stream back to the Generator interface:
-// Next and NextBatch yield exactly the accesses of the slice, and Reset
-// rewinds to the start. Replaying a memoized stream costs one bulk copy
+// NextBatch yields exactly the accesses of the slice, and Reset rewinds
+// to the start. Replaying a memoized stream costs one bulk copy
 // per batch where regenerating it costs the full kernel machinery per
 // access (see workloads' stream memo).
 type Replay struct {
@@ -171,17 +159,7 @@ func NewReplay(s []mem.Access) *Replay { return &Replay{s: s} }
 // Reset implements Generator.
 func (r *Replay) Reset() { r.n = 0 }
 
-// Next implements Generator.
-func (r *Replay) Next() (mem.Access, bool) {
-	if r.n >= len(r.s) {
-		return mem.Access{}, false
-	}
-	a := r.s[r.n]
-	r.n++
-	return a, true
-}
-
-// NextBatch implements BatchGenerator.
+// NextBatch implements Generator.
 func (r *Replay) NextBatch(dst []mem.Access) int {
 	n := copy(dst, r.s[r.n:])
 	r.n += n
@@ -192,25 +170,11 @@ func (r *Replay) NextBatch(dst []mem.Access) int {
 func (r *Replay) Length() int { return len(r.s) }
 
 // Collect drains a generator into a slice (tests and MIN capture).
-// Batch-capable generators drain in block-sized appends.
 func Collect(g Generator) []mem.Access {
-	if bg, ok := g.(BatchGenerator); ok {
-		var out []mem.Access
-		var buf [256]mem.Access
-		for {
-			n := bg.NextBatch(buf[:])
-			if n == 0 {
-				return out
-			}
-			out = append(out, buf[:n]...)
-		}
-	}
 	var out []mem.Access
-	for {
-		a, ok := g.Next()
-		if !ok {
-			return out
-		}
-		out = append(out, a)
+	var buf [256]mem.Access
+	for n := g.NextBatch(buf[:]); n > 0; n = g.NextBatch(buf[:]) {
+		out = append(out, buf[:n]...)
 	}
+	return out
 }

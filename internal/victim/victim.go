@@ -113,7 +113,7 @@ func Run(w workloads.Workload, mk func() *dbrb.Policy, vcSize int, filtered bool
 	pol := mk()
 	snoop := &deadSnoop{Policy: pol}
 	llc := cache.New(hier.LLCConfig(1), snoop)
-	core := hier.NewCore(hier.DefaultConfig(), llc)
+	core := hier.NewCore(hier.DefaultConfig(), nil)
 	timing := cpu.New(cpu.DefaultConfig())
 	vc := NewCache(vcSize)
 
@@ -123,38 +123,41 @@ func Run(w workloads.Workload, mk func() *dbrb.Policy, vcSize int, filtered bool
 	}
 	res := Result{Benchmark: w.Name, Config: cfg}
 
-	core.OnLLCEvict(func(evictedAddr uint64) {
-		if !filtered || !snoop.lastWasDead {
-			vc.Insert(evictedAddr)
-		}
-	})
-
-	var misses, instructions uint64
+	// The private levels filter a block at a time; the LLC leg stays one
+	// record at a time because each eviction changes the victim buffer
+	// the next miss probes.
+	var misses uint64
 	gen := w.Generator(scale)
-	for {
-		a, ok := gen.Next()
-		if !ok {
-			break
-		}
-		instructions += uint64(a.Gap) + 1
-		before := llc.Stats().Misses
-		level := core.Access(a)
-		lat := level.Latency()
-		if llc.Stats().Misses > before {
-			// The LLC missed: probe the victim buffer. A hit costs a
-			// little over an LLC hit instead of a memory access.
-			if vc.Lookup(a.Addr) {
-				lat = cpu.LatLLC + 4
-			} else {
-				misses++
+	var as [256]mem.Access
+	var fb [256]hier.Filtered
+	for n := gen.NextBatch(as[:]); n > 0; n = gen.NextBatch(as[:]) {
+		core.FilterBlock(as[:n], fb[:n])
+		for i := range fb[:n] {
+			f := &fb[i]
+			lat := f.PrivateLevel().Latency()
+			if f.Flags&hier.FLLCBound != 0 {
+				r := llc.Access(f.LLC)
+				if r.Evicted && (!filtered || !snoop.lastWasDead) {
+					vc.Insert(r.EvictedAddr)
+				}
+				switch {
+				case r.Hit:
+					lat = cpu.LatLLC
+				case vc.Lookup(f.LLC.Addr):
+					// A victim-buffer hit costs a little over an LLC
+					// hit instead of a memory access.
+					lat = cpu.LatLLC + 4
+				default:
+					misses++
+				}
 			}
+			timing.Record(f.Gap, lat, f.Flags&hier.FDep != 0)
 		}
-		timing.Record(a.Gap, lat, a.DependentLoad)
 	}
 
 	res.IPC = timing.IPC()
-	if instructions > 0 {
-		res.MPKI = float64(misses) / (float64(instructions) / 1000)
+	if n := timing.Instructions(); n > 0 {
+		res.MPKI = float64(misses) / (float64(n) / 1000)
 	}
 	res.VCHits = vc.Hits()
 	res.VCInserts = vc.Inserts()

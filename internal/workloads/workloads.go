@@ -176,24 +176,10 @@ func (w Workload) Instructions(scale float64) uint64 {
 		return n
 	}
 	gen := w.Generator(scale)
-	if bg, ok := gen.(trace.BatchGenerator); ok {
-		var buf [256]mem.Access
-		for {
-			k := bg.NextBatch(buf[:])
-			if k == 0 {
-				break
-			}
-			for i := 0; i < k; i++ {
-				n += uint64(buf[i].Gap) + 1
-			}
-		}
-	} else {
-		for {
-			a, ok := gen.Next()
-			if !ok {
-				break
-			}
-			n += uint64(a.Gap) + 1
+	var buf [256]mem.Access
+	for k := gen.NextBatch(buf[:]); k > 0; k = gen.NextBatch(buf[:]) {
+		for i := range buf[:k] {
+			n += uint64(buf[i].Gap) + 1
 		}
 	}
 	instrMemo.Lock()
