@@ -49,7 +49,7 @@ func benchScale() float64 {
 // 2MB LRU LLC are dead 86.2% of the time on average.
 func BenchmarkClaimDeadTime(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		sc := figures.RunSingleCore(benchScale())
+		sc := figures.RunSingleCoreEnv(figures.DefaultEnv(), benchScale())
 		b.ReportMetric(sc.DeadTimeClaim()*100, "%dead")
 	}
 }
@@ -59,7 +59,7 @@ func BenchmarkClaimDeadTime(b *testing.B) {
 // (paper: 87%).
 func BenchmarkFig1Efficiency(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		f := figures.RunFig1(benchScale())
+		f := figures.RunFig1Env(figures.DefaultEnv(), benchScale())
 		b.ReportMetric(f.LRUEfficiency*100, "%eff-lru")
 		b.ReportMetric(f.SamplerEfficiency*100, "%eff-sampler")
 	}
@@ -96,7 +96,7 @@ func BenchmarkTable2Power(b *testing.B) {
 // and MIN and IPC under LRU for all 29 benchmarks.
 func BenchmarkTable3Characterization(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t3 := figures.RunTable3(benchScale())
+		t3 := figures.RunTable3Env(figures.DefaultEnv(), benchScale())
 		var lru, min float64
 		for _, r := range t3.Rows {
 			lru += r.MPKILRU
@@ -110,7 +110,7 @@ func BenchmarkTable3Characterization(b *testing.B) {
 // cache sensitivity curves over LLC sizes 128KB..32MB.
 func BenchmarkTable4Mixes(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t4 := figures.RunTable4(benchScale())
+		t4 := figures.RunTable4Env(figures.DefaultEnv(), benchScale())
 		// Report the average capacity sensitivity: MPKI at 32MB over
 		// MPKI at 128KB.
 		var ratio float64
@@ -126,7 +126,7 @@ func BenchmarkTable4Mixes(b *testing.B) {
 // Sampler 0.883, Optimal 0.814).
 func BenchmarkFig4MissesLRU(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		sc := figures.RunSingleCore(benchScale())
+		sc := figures.RunSingleCoreEnv(figures.DefaultEnv(), benchScale())
 		lru := sc.Matrix.Series("LRU", func(r sim.SingleResult) float64 { return r.MPKI })
 		for _, pol := range []string{"TDBP", "CDBP", "DIP", "RRIP", "Sampler"} {
 			norm := stats.Normalize(sc.Matrix.Series(pol, func(r sim.SingleResult) float64 { return r.MPKI }), lru)
@@ -140,7 +140,7 @@ func BenchmarkFig4MissesLRU(b *testing.B) {
 // 1.059).
 func BenchmarkFig5SpeedupLRU(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		sc := figures.RunSingleCore(benchScale())
+		sc := figures.RunSingleCoreEnv(figures.DefaultEnv(), benchScale())
 		lru := sc.Matrix.Series("LRU", func(r sim.SingleResult) float64 { return r.IPC })
 		for _, pol := range []string{"TDBP", "CDBP", "DIP", "RRIP", "Sampler"} {
 			sp := stats.Normalize(sc.Matrix.Series(pol, func(r sim.SingleResult) float64 { return r.IPC }), lru)
@@ -154,7 +154,7 @@ func BenchmarkFig5SpeedupLRU(b *testing.B) {
 // (paper: 3.4%, 2.3%, 3.8%, 4.0%, 5.6%, 5.9%).
 func BenchmarkFig6Ablation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		ab := figures.RunAblation(benchScale())
+		ab := figures.RunAblationEnv(figures.DefaultEnv(), benchScale())
 		b.ReportMetric(ab.Speedup["DBRB alone"], "gmean-alone")
 		b.ReportMetric(ab.Speedup["DBRB+sampler"], "gmean-sampler")
 		b.ReportMetric(ab.Speedup["DBRB+sampler+3 tables+12-way"], "gmean-full")
@@ -166,7 +166,7 @@ func BenchmarkFig6Ablation(b *testing.B) {
 // 1.025, Random CDBP ~1.0, Random Sampler 0.925).
 func BenchmarkFig7MissesRandom(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rb := figures.RunRandomBaseline(benchScale())
+		rb := figures.RunRandomBaselineEnv(figures.DefaultEnv(), benchScale())
 		lru := rb.LRU.Series("LRU", func(r sim.SingleResult) float64 { return r.MPKI })
 		for _, pol := range rb.Matrix.Policies {
 			norm := stats.Normalize(rb.Matrix.Series(pol, func(r sim.SingleResult) float64 { return r.MPKI }), lru)
@@ -180,7 +180,7 @@ func BenchmarkFig7MissesRandom(b *testing.B) {
 // Random CDBP 1.001, Random Sampler 1.034).
 func BenchmarkFig8SpeedupRandom(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rb := figures.RunRandomBaseline(benchScale())
+		rb := figures.RunRandomBaselineEnv(figures.DefaultEnv(), benchScale())
 		lru := rb.LRU.Series("LRU", func(r sim.SingleResult) float64 { return r.IPC })
 		for _, pol := range rb.Matrix.Policies {
 			sp := stats.Normalize(rb.Matrix.Series(pol, func(r sim.SingleResult) float64 { return r.IPC }), lru)
@@ -194,7 +194,7 @@ func BenchmarkFig8SpeedupRandom(b *testing.B) {
 // 67%/7.19%, sampling 59%/3.0%).
 func BenchmarkFig9Accuracy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		sc := figures.RunSingleCore(benchScale())
+		sc := figures.RunSingleCoreEnv(figures.DefaultEnv(), benchScale())
 		for _, pol := range []string{"TDBP", "CDBP", "Sampler"} {
 			var cov, fp float64
 			for _, bench := range sc.Matrix.Benchmarks {
@@ -216,7 +216,7 @@ func BenchmarkFig9Accuracy(b *testing.B) {
 // Sampler 1.125, CDBP 1.10, TADIP 1.076, TDBP 1.056, RRIP 1.045).
 func BenchmarkFig10aMulticoreLRU(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		mc := figures.RunMulticoreFigure(figures.MulticorePolicies(), benchScale())
+		mc := figures.RunMulticoreFigureEnv(figures.DefaultEnv(), figures.MulticorePolicies(), benchScale())
 		for _, pol := range mc.Policies {
 			var ws []float64
 			for _, mix := range mc.Mixes {
@@ -232,7 +232,7 @@ func BenchmarkFig10aMulticoreLRU(b *testing.B) {
 // Random Sampler 1.07, Random CDBP 1.06, Random ~1.0).
 func BenchmarkFig10bMulticoreRandom(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		mc := figures.RunMulticoreFigure(figures.RandomPolicies(), benchScale())
+		mc := figures.RunMulticoreFigureEnv(figures.DefaultEnv(), figures.RandomPolicies(), benchScale())
 		for _, pol := range mc.Policies {
 			var ws []float64
 			for _, mix := range mc.Mixes {
@@ -279,7 +279,7 @@ func BenchmarkHierarchyAccess(b *testing.B) {
 // predictor (the paper's Section VIII future work), and PLRU bases.
 func BenchmarkExtensions(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		e := figures.RunExtensions(benchScale())
+		e := figures.RunExtensionsEnv(figures.DefaultEnv(), benchScale())
 		lru := e.LRU.Series("LRU", func(r sim.SingleResult) float64 { return r.MPKI })
 		for _, pol := range e.Matrix.Policies {
 			norm := stats.Normalize(e.Matrix.Series(pol, func(r sim.SingleResult) float64 { return r.MPKI }), lru)
@@ -294,7 +294,7 @@ func BenchmarkExtensions(b *testing.B) {
 func BenchmarkAblationSamplerSets(b *testing.B) {
 	sets := []int{8, 32, 128}
 	for i := 0; i < b.N; i++ {
-		res := figures.SamplerSetsSweep(benchScale(), sets)
+		res := figures.SamplerSetsSweepEnv(figures.DefaultEnv(), benchScale(), sets)
 		for _, n := range sets {
 			b.ReportMetric(res[n], fmt.Sprintf("gmean-%dsets", n))
 		}
@@ -307,7 +307,7 @@ func BenchmarkAblationSamplerSets(b *testing.B) {
 func BenchmarkAblationThreshold(b *testing.B) {
 	thrs := []int{2, 8, 9}
 	for i := 0; i < b.N; i++ {
-		res := figures.ThresholdSweep(benchScale(), thrs)
+		res := figures.ThresholdSweepEnv(figures.DefaultEnv(), benchScale(), thrs)
 		for _, th := range thrs {
 			b.ReportMetric(res[th], fmt.Sprintf("gmean-thr%d", th))
 		}
@@ -319,7 +319,7 @@ func BenchmarkAblationThreshold(b *testing.B) {
 // dead-block placement.
 func BenchmarkPrefetchStudy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		st := figures.RunPrefetchStudy(benchScale())
+		st := figures.RunPrefetchStudyEnv(figures.DefaultEnv(), benchScale())
 		var accDead float64
 		for _, bench := range st.Benchmarks {
 			accDead += st.Results["Sampler+PF"][bench].Accuracy()
@@ -333,7 +333,7 @@ func BenchmarkPrefetchStudy(b *testing.B) {
 // predicted liveness concentrates the buffer on blocks with a future.
 func BenchmarkVictimStudy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		st := figures.RunVictimStudy(benchScale())
+		st := figures.RunVictimStudyEnv(figures.DefaultEnv(), benchScale())
 		var yu, yf float64
 		for _, bench := range st.Benchmarks {
 			yu += st.Results["unfiltered"][bench].HitsPerInsert()

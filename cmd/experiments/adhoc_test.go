@@ -127,15 +127,15 @@ func TestAdhocSpecFileScalePrecedence(t *testing.T) {
 
 func TestAdhocFlagValidation(t *testing.T) {
 	cases := [][]string{
-		{"-spec", "x.json", "-policy", "lru"},          // mutually exclusive
-		{"-policy", "lru", "-only", "fig4"},            // exclusive with -only
-		{"-bench", "456.hmmer"},                        // -bench without -policy
-		{"-mix", "mix1"},                               // -mix without -policy
-		{"-spec", "x.json", "-bench", "456.hmmer"},     // -bench with -spec
+		{"-spec", "x.json", "-policy", "lru"},                            // mutually exclusive
+		{"-policy", "lru", "-only", "fig4"},                              // exclusive with -only
+		{"-bench", "456.hmmer"},                                          // -bench without -policy
+		{"-mix", "mix1"},                                                 // -mix without -policy
+		{"-spec", "x.json", "-bench", "456.hmmer"},                       // -bench with -spec
 		{"-policy", "lru", "-interval", "1000", "-trace-out", "x.jsonl"}, // no telemetry in ad-hoc mode
-		{"-policy", "nosuchpolicy"},                    // resolver error
-		{"-policy", "lru", "-bench", "999.nope"},       // unknown benchmark
-		{"-spec", "/nonexistent/spec.json"},            // unreadable file
+		{"-policy", "nosuchpolicy"},                                      // resolver error
+		{"-policy", "lru", "-bench", "999.nope"},                         // unknown benchmark
+		{"-spec", "/nonexistent/spec.json"},                              // unreadable file
 	}
 	for _, args := range cases {
 		var stdout, stderr bytes.Buffer

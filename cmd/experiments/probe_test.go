@@ -43,15 +43,15 @@ func TestProbeFlagValidation(t *testing.T) {
 	}
 }
 
-// runProbeExport drives the command with telemetry enabled and returns
-// the raw JSONL and trace-event bytes.
-func runProbeExport(t *testing.T, extra ...string) (jsonl, trace []byte) {
+// runProbeExport drives the command with telemetry enabled at the given
+// scale and returns the raw JSONL and trace-event bytes.
+func runProbeExport(t *testing.T, scale string) (jsonl, trace []byte) {
 	t.Helper()
 	out := filepath.Join(t.TempDir(), "probe.jsonl")
-	args := append([]string{
-		"-only", "table1", "-quiet", "-scale", goldenScale,
+	args := []string{
+		"-only", "table1", "-quiet", "-scale", scale,
 		"-interval", "20000", "-topk", "5", "-trace-out", out,
-	}, extra...)
+	}
 	var stdout, stderr bytes.Buffer
 	if code := run(args, &stdout, &stderr); code != 0 {
 		t.Fatalf("experiments %v exited %d\nstderr:\n%s", args, code, stderr.String())
@@ -73,9 +73,9 @@ func runProbeExport(t *testing.T, extra ...string) (jsonl, trace []byte) {
 // telemetry.
 func TestProbeExportDeterministic(t *testing.T) {
 	prev := runtime.GOMAXPROCS(8)
-	j1, t1 := runProbeExport(t)
+	j1, t1 := runProbeExport(t, goldenScale)
 	runtime.GOMAXPROCS(1)
-	j2, t2 := runProbeExport(t)
+	j2, t2 := runProbeExport(t, goldenScale)
 	runtime.GOMAXPROCS(prev)
 
 	if !bytes.Equal(j1, j2) {
@@ -140,34 +140,44 @@ func TestProbeManifestEntries(t *testing.T) {
 var updateProbe = flag.Bool("update-probe", false, "rewrite testdata/probe files from this run")
 
 // TestProbeExportGolden byte-compares the introspection pass's exports
-// (interval JSONL and Chrome trace events, at the golden scale) against
-// testdata/probe, so a change to how probed runs are driven cannot move
-// a single interval boundary, counter or per-PC row unnoticed.
+// (interval JSONL and Chrome trace events) against testdata/probe, so a
+// change to how probed runs are driven cannot move a single interval
+// boundary, counter or per-PC row unnoticed. The golden scale never
+// fills the 2MB LLC, so a second input at scale 0.02 (the smallest
+// measured scale at which a series, 429.mcf, evicts and predicts dead
+// blocks) pins the block cut where predictions happen.
 // Regenerate after an intentional change with
 //
 //	go test ./cmd/experiments -run TestProbeExportGolden -update-probe
 func TestProbeExportGolden(t *testing.T) {
-	jsonl, trace := runProbeExport(t)
-	for _, f := range []struct {
-		name string
-		got  []byte
-	}{{"series.jsonl", jsonl}, {"series.trace.json", trace}} {
-		path := filepath.Join("testdata", "probe", f.name)
-		if *updateProbe {
-			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-				t.Fatal(err)
+	for _, tc := range []struct{ scale, dir string }{
+		{goldenScale, filepath.Join("testdata", "probe")},
+		{"0.02", filepath.Join("testdata", "probe", "scale0.02")},
+	} {
+		t.Run("scale"+tc.scale, func(t *testing.T) {
+			jsonl, trace := runProbeExport(t, tc.scale)
+			for _, f := range []struct {
+				name string
+				got  []byte
+			}{{"series.jsonl", jsonl}, {"series.trace.json", trace}} {
+				path := filepath.Join(tc.dir, f.name)
+				if *updateProbe {
+					if err := os.MkdirAll(tc.dir, 0o755); err != nil {
+						t.Fatal(err)
+					}
+					if err := os.WriteFile(path, f.got, 0o644); err != nil {
+						t.Fatal(err)
+					}
+					continue
+				}
+				want, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatalf("no probe golden (run with -update-probe to create): %v", err)
+				}
+				if !bytes.Equal(f.got, want) {
+					t.Errorf("%s differs from %s\n%s", f.name, path, firstDiff(string(want), string(f.got)))
+				}
 			}
-			if err := os.WriteFile(path, f.got, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			continue
-		}
-		want, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatalf("no probe golden (run with -update-probe to create): %v", err)
-		}
-		if !bytes.Equal(f.got, want) {
-			t.Errorf("%s differs from %s\n%s", f.name, path, firstDiff(string(want), string(f.got)))
-		}
+		})
 	}
 }

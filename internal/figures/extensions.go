@@ -38,12 +38,7 @@ type Extensions struct {
 	LRU    *Matrix
 }
 
-// RunExtensions sweeps the extension policies over the subset.
-func RunExtensions(scale float64) *Extensions {
-	return RunExtensionsEnv(DefaultEnv(), scale)
-}
-
-// RunExtensionsEnv is RunExtensions on a shared environment.
+// RunExtensionsEnv sweeps the extension policies over the subset.
 func RunExtensionsEnv(e *Env, scale float64) *Extensions {
 	benches := sortedNames(workloads.Subset())
 	return &Extensions{
@@ -83,14 +78,9 @@ func (e *Extensions) Render() string {
 	return renderTable("Extensions: related-work predictors, future work, and PLRU bases (misses normalized to LRU)", header, rows)
 }
 
-// SamplerSetsSweep measures the design decision of Section III-A: "32
-// sets provide a good trade-off between accuracy and efficiency". It
-// returns gmean speedup over LRU per sampler set count.
-func SamplerSetsSweep(scale float64, setCounts []int) map[int]float64 {
-	return SamplerSetsSweepEnv(DefaultEnv(), scale, setCounts)
-}
-
-// SamplerSetsSweepEnv is SamplerSetsSweep on a shared environment.
+// SamplerSetsSweepEnv measures the design decision of Section III-A:
+// "32 sets provide a good trade-off between accuracy and efficiency".
+// It returns gmean speedup over LRU per sampler set count.
 func SamplerSetsSweepEnv(e *Env, scale float64, setCounts []int) map[int]float64 {
 	benches := sortedNames(workloads.Subset())
 	specs := []PolicySpec{LRUSpec()}
@@ -109,14 +99,9 @@ func SamplerSetsSweepEnv(e *Env, scale float64, setCounts []int) map[int]float64
 	return out
 }
 
-// ThresholdSweep measures the design decision of Section III-E: "a
+// ThresholdSweepEnv measures the design decision of Section III-E: "a
 // threshold of eight gives the best accuracy". It returns gmean speedup
 // over LRU per confidence threshold.
-func ThresholdSweep(scale float64, thresholds []int) map[int]float64 {
-	return ThresholdSweepEnv(DefaultEnv(), scale, thresholds)
-}
-
-// ThresholdSweepEnv is ThresholdSweep on a shared environment.
 func ThresholdSweepEnv(e *Env, scale float64, thresholds []int) map[int]float64 {
 	benches := sortedNames(workloads.Subset())
 	specs := []PolicySpec{LRUSpec()}

@@ -17,7 +17,7 @@ func TestExtensionsRender(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy")
 	}
-	e := RunExtensions(tinyScale)
+	e := RunExtensionsEnv(DefaultEnv(), tinyScale)
 	out := e.Render()
 	for _, want := range []string{"Bursts", "AIP", "SmpCount", "PLRU", "amean MPKI", "gmean speedup"} {
 		if !strings.Contains(out, want) {
@@ -30,7 +30,7 @@ func TestPrefetchStudyRender(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy")
 	}
-	st := RunPrefetchStudy(tinyScale)
+	st := RunPrefetchStudyEnv(DefaultEnv(), tinyScale)
 	if len(st.Benchmarks) != 19 {
 		t.Fatalf("benchmarks = %d", len(st.Benchmarks))
 	}
@@ -48,7 +48,7 @@ func TestVictimStudyRender(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy")
 	}
-	st := RunVictimStudy(tinyScale)
+	st := RunVictimStudyEnv(DefaultEnv(), tinyScale)
 	if len(st.Results["unfiltered"]) != 19 || len(st.Results["dead-filtered"]) != 19 {
 		t.Fatal("incomplete victim study")
 	}
@@ -62,14 +62,14 @@ func TestSweepsProduceAllPoints(t *testing.T) {
 		t.Skip("heavy")
 	}
 	sets := []int{16, 32}
-	res := SamplerSetsSweep(tinyScale, sets)
+	res := SamplerSetsSweepEnv(DefaultEnv(), tinyScale, sets)
 	for _, n := range sets {
 		if res[n] <= 0 {
 			t.Errorf("set sweep missing %d", n)
 		}
 	}
 	thrs := []int{2, 8}
-	res2 := ThresholdSweep(tinyScale, thrs)
+	res2 := ThresholdSweepEnv(DefaultEnv(), tinyScale, thrs)
 	for _, th := range thrs {
 		if res2[th] <= 0 {
 			t.Errorf("threshold sweep missing %d", th)
@@ -85,7 +85,7 @@ func TestAblationRunsAllVariants(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy")
 	}
-	ab := RunAblation(tinyScale)
+	ab := RunAblationEnv(DefaultEnv(), tinyScale)
 	if len(ab.Speedup) != len(AblationOrder) {
 		t.Fatalf("variants = %d", len(ab.Speedup))
 	}
@@ -100,7 +100,7 @@ func TestMulticoreFigureSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy")
 	}
-	mc := RunMulticoreFigure([]PolicySpec{MulticorePolicies()[4]}, 0.002) // Sampler only
+	mc := RunMulticoreFigureEnv(DefaultEnv(), []PolicySpec{MulticorePolicies()[4]}, 0.002) // Sampler only
 	if len(mc.Mixes) != 10 {
 		t.Fatalf("mixes = %d", len(mc.Mixes))
 	}

@@ -97,7 +97,7 @@ func TestMatrixDeterministicUnderParallelism(t *testing.T) {
 	benches := sortedNames(workloads.Subset())[:4]
 	specs := append([]PolicySpec{LRUSpec()}, StandardPolicies()[:2]...)
 	run := func() *Matrix {
-		m := RunMatrix(benches, specs, sim.SingleOptions{Scale: tinyScale})
+		m := RunMatrixEnv(DefaultEnv(), "matrix", benches, specs, sim.SingleOptions{Scale: tinyScale})
 		// Duration is wall-clock observability metadata, not simulated
 		// work; normalize it the way the golden tests strip section
 		// footers.

@@ -127,19 +127,12 @@ func (m *Matrix) Series(pol string, f func(sim.SingleResult) float64) []float64 
 	return out
 }
 
-// RunMatrix sweeps every benchmark against every policy in parallel
-// with the default execution environment.
-func RunMatrix(benches []workloads.Workload, specs []PolicySpec, opts sim.SingleOptions) *Matrix {
-	return RunMatrixEnv(DefaultEnv(), "matrix", benches, specs, opts)
-}
-
 // RunMatrixEnv sweeps every benchmark against every policy on the
 // shared runner, one sim.RunFanout pass per benchmark over the
 // policies whose cells are not already checkpointed (more than one
 // when there are fewer benchmarks than workers; see Env.fanoutParts).
-// Section names
-// the sweep in checkpoint keys and failure reports; it must be stable
-// across runs for -resume to hit.
+// Section names the sweep in checkpoint keys and failure reports; it
+// must be stable across runs for -resume to hit.
 func RunMatrixEnv(e *Env, section string, benches []workloads.Workload, specs []PolicySpec, opts sim.SingleOptions) *Matrix {
 	m := &Matrix{
 		Results: make(map[cell]sim.SingleResult),

@@ -15,7 +15,7 @@ const tinyScale = 0.01
 func TestRunMatrixCoversAllCells(t *testing.T) {
 	benches := sortedNames(workloads.Subset())[:3]
 	specs := append([]PolicySpec{LRUSpec()}, StandardPolicies()[:2]...)
-	m := RunMatrix(benches, specs, sim.SingleOptions{Scale: tinyScale})
+	m := RunMatrixEnv(DefaultEnv(), "matrix", benches, specs, sim.SingleOptions{Scale: tinyScale})
 	if len(m.Benchmarks) != 3 || len(m.Policies) != 3 {
 		t.Fatalf("matrix %dx%d", len(m.Benchmarks), len(m.Policies))
 	}
@@ -30,7 +30,7 @@ func TestRunMatrixCoversAllCells(t *testing.T) {
 
 func TestMatrixSeries(t *testing.T) {
 	benches := sortedNames(workloads.Subset())[:2]
-	m := RunMatrix(benches, []PolicySpec{LRUSpec()}, sim.SingleOptions{Scale: tinyScale})
+	m := RunMatrixEnv(DefaultEnv(), "matrix", benches, []PolicySpec{LRUSpec()}, sim.SingleOptions{Scale: tinyScale})
 	s := m.Series("LRU", func(r sim.SingleResult) float64 { return r.MPKI })
 	if len(s) != 2 || s[0] <= 0 {
 		t.Errorf("series = %v", s)
@@ -41,7 +41,7 @@ func TestSingleCoreRenders(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy")
 	}
-	sc := RunSingleCore(tinyScale)
+	sc := RunSingleCoreEnv(DefaultEnv(), tinyScale)
 	for name, out := range map[string]string{
 		"fig4":  sc.RenderFig4(),
 		"fig5":  sc.RenderFig5(),
@@ -106,7 +106,7 @@ func TestFig1Runs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy")
 	}
-	f := RunFig1(0.05)
+	f := RunFig1Env(DefaultEnv(), 0.05)
 	if f.SamplerEfficiency <= f.LRUEfficiency {
 		t.Errorf("sampler efficiency %.2f not above LRU %.2f",
 			f.SamplerEfficiency, f.LRUEfficiency)
@@ -120,7 +120,7 @@ func TestTable4CurvesMonotoneish(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy")
 	}
-	t4 := RunTable4(tinyScale)
+	t4 := RunTable4Env(DefaultEnv(), tinyScale)
 	if len(t4.Curves) != 10 {
 		t.Fatalf("curves = %d", len(t4.Curves))
 	}

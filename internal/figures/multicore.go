@@ -26,23 +26,12 @@ type Multicore struct {
 	NormMPKI map[string]float64
 }
 
-// RunMulticoreFigure performs one Figure 10 panel's sweep: the given
-// policies plus the LRU baseline over all ten mixes.
-func RunMulticoreFigure(specs []PolicySpec, scale float64) *Multicore {
-	return RunMulticoreFigureEnv(DefaultEnv(), specs, scale)
-}
-
-// RunMulticoreFigureEnv is RunMulticoreFigure on a shared environment.
-// Runs are deterministic, so checkpoint keys depend only on (mix,
-// policy, scale, geometry): both panels share the LRU baseline cells.
+// RunMulticoreFigureEnv performs one Figure 10 panel's sweep: the given
+// policies plus the LRU baseline over all ten mixes. Runs are
+// deterministic, so checkpoint keys depend only on (mix, policy, scale,
+// geometry): both panels share the LRU baseline cells.
 func RunMulticoreFigureEnv(e *Env, specs []PolicySpec, scale float64) *Multicore {
-	return RunMulticoreFigureLLC(e, specs, scale, hier.LLCConfig(4))
-}
-
-// RunMulticoreFigureLLC is RunMulticoreFigureEnv with an explicit
-// shared-LLC geometry (ad-hoc specs may override the paper's 8MB).
-func RunMulticoreFigureLLC(e *Env, specs []PolicySpec, scale float64, llcCfg cache.Config) *Multicore {
-	return runMulticore(e, workloads.Mixes(), specs, scale, llcCfg)
+	return runMulticore(e, workloads.Mixes(), specs, scale, hier.LLCConfig(4))
 }
 
 // runMulticore runs the given policies plus the LRU baseline over the

@@ -46,12 +46,7 @@ func prefetchConfigs() []struct {
 	}
 }
 
-// RunPrefetchStudy performs the prefetch comparison over the subset.
-func RunPrefetchStudy(scale float64) *PrefetchStudy {
-	return RunPrefetchStudyEnv(DefaultEnv(), scale)
-}
-
-// RunPrefetchStudyEnv is RunPrefetchStudy on a shared environment.
+// RunPrefetchStudyEnv performs the prefetch comparison over the subset.
 func RunPrefetchStudyEnv(e *Env, scale float64) *PrefetchStudy {
 	benches := sortedNames(workloads.Subset())
 	st := &PrefetchStudy{

@@ -23,13 +23,8 @@ type SingleCore struct {
 	Scale       float64
 }
 
-// RunSingleCore performs the Figure 4/5/9 sweep at the given stream
+// RunSingleCoreEnv performs the Figure 4/5/9 sweep at the given stream
 // scale (1.0 = the suite's default length).
-func RunSingleCore(scale float64) *SingleCore {
-	return RunSingleCoreEnv(DefaultEnv(), scale)
-}
-
-// RunSingleCoreEnv is RunSingleCore on a shared execution environment.
 func RunSingleCoreEnv(e *Env, scale float64) *SingleCore {
 	benches := sortedNames(workloads.Subset())
 	specs := append([]PolicySpec{LRUSpec()}, StandardPolicies()...)
@@ -229,13 +224,8 @@ type RandomBaseline struct {
 	LRU    *Matrix
 }
 
-// RunRandomBaseline performs the Figure 7/8 sweep. Values remain
+// RunRandomBaselineEnv performs the Figure 7/8 sweep. Values remain
 // normalized to the LRU baseline, as in the paper.
-func RunRandomBaseline(scale float64) *RandomBaseline {
-	return RunRandomBaselineEnv(DefaultEnv(), scale)
-}
-
-// RunRandomBaselineEnv is RunRandomBaseline on a shared environment.
 func RunRandomBaselineEnv(e *Env, scale float64) *RandomBaseline {
 	benches := sortedNames(workloads.Subset())
 	return &RandomBaseline{

@@ -100,14 +100,9 @@ type Table3Row struct {
 	IPCLRU   float64
 }
 
-// RunTable3 characterizes all 29 benchmarks.
-func RunTable3(scale float64) *Table3 {
-	return RunTable3Env(DefaultEnv(), scale)
-}
-
-// RunTable3Env is RunTable3 on a shared environment. A benchmark whose
-// characterization run fails keeps its identity columns and renders
-// its metrics as ERR.
+// RunTable3Env characterizes all 29 benchmarks. A benchmark whose
+// characterization run fails keeps its identity columns and renders its
+// metrics as ERR.
 func RunTable3Env(e *Env, scale float64) *Table3 {
 	benches := sortedNames(workloads.All())
 	t := &Table3{Rows: make([]Table3Row, len(benches))}
@@ -177,15 +172,10 @@ type Table4 struct {
 	Curves map[string][]float64 // mix name -> MPKI per SensitivitySizes entry
 }
 
-// RunTable4 computes the sensitivity curves. Each distinct benchmark is
-// simulated once, fanned out to every size, and shared across mixes.
-func RunTable4(scale float64) *Table4 {
-	return RunTable4Env(DefaultEnv(), scale)
-}
-
-// RunTable4Env is RunTable4 on a shared environment. A failed point
-// poisons (only) the curve points of mixes containing that benchmark,
-// which render as ERR.
+// RunTable4Env computes the sensitivity curves. Each distinct benchmark
+// is simulated once, fanned out to every size, and shared across mixes.
+// A failed point poisons (only) the curve points of mixes containing
+// that benchmark, which render as ERR.
 func RunTable4Env(e *Env, scale float64) *Table4 {
 	mixes := workloads.Mixes()
 	needed := map[string]bool{}

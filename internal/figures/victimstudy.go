@@ -22,13 +22,8 @@ type VictimStudy struct {
 	Errors map[cell]error
 }
 
-// RunVictimStudy performs the comparison over the subset with a
+// RunVictimStudyEnv performs the comparison over the subset with a
 // 64-entry victim buffer.
-func RunVictimStudy(scale float64) *VictimStudy {
-	return RunVictimStudyEnv(DefaultEnv(), scale)
-}
-
-// RunVictimStudyEnv is RunVictimStudy on a shared environment.
 func RunVictimStudyEnv(e *Env, scale float64) *VictimStudy {
 	benches := sortedNames(workloads.Subset())
 	configs := map[bool]string{false: "unfiltered", true: "dead-filtered"}

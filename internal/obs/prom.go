@@ -133,8 +133,8 @@ func WritePrometheus(w io.Writer, snap Snapshot) error {
 //
 // It is the CI/test gate for /metrics output.
 func LintPrometheus(data []byte) error {
-	types := map[string]string{}   // family -> declared type
-	lastFamily := ""               // for contiguity
+	types := map[string]string{} // family -> declared type
+	lastFamily := ""             // for contiguity
 	closedFamilies := map[string]bool{}
 	seenSamples := map[string]bool{}
 	type histState struct {

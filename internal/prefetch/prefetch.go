@@ -17,6 +17,7 @@ import (
 	"sdbp/internal/cpu"
 	"sdbp/internal/hier"
 	"sdbp/internal/mem"
+	"sdbp/internal/sim"
 	"sdbp/internal/workloads"
 )
 
@@ -74,19 +75,14 @@ func Run(w workloads.Workload, pol cache.Policy, cfg Config, scale float64) Resu
 		panic("prefetch: negative degree")
 	}
 	llc := cache.New(hier.LLCConfig(1), pol)
-	core := hier.NewCore(hier.DefaultConfig(), nil)
 	timing := cpu.New(cpu.DefaultConfig())
 	res := Result{Benchmark: w.Name, Policy: pol.Name()}
 
 	// The private levels filter a block at a time; the LLC leg stays one
 	// record at a time because a miss's prefetch fills change the LLC
 	// before the next record reaches it.
-	gen := w.Generator(scale)
-	var as [256]mem.Access
-	var fb [256]hier.Filtered
-	for n := gen.NextBatch(as[:]); n > 0; n = gen.NextBatch(as[:]) {
-		core.FilterBlock(as[:n], fb[:n])
-		for i := range fb[:n] {
+	sim.FilterStream(w.Generator(scale), func(fb []hier.Filtered) {
+		for i := range fb {
 			f := &fb[i]
 			level := f.PrivateLevel()
 			if level == hier.LevelMemory {
@@ -98,7 +94,7 @@ func Run(w workloads.Workload, pol cache.Policy, cfg Config, scale float64) Resu
 			}
 			timing.Record(f.Gap, level.Latency(), f.Flags&hier.FDep != 0)
 		}
-	}
+	})
 	llc.Finish()
 
 	s := llc.Stats()

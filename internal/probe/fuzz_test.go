@@ -23,17 +23,17 @@ func FuzzJSONLRoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, instr, cycles, accesses, misses, preds, pos, fps, pcSeed uint64) {
 		hits := accesses - misses // may wrap; the codec must not care
 		iv := Interval{
-			Index:         0,
-			Instructions:  instr,
-			DInstructions: instr,
-			DCycles:       cycles,
-			DAccesses:     accesses,
-			DHits:         hits,
-			DMisses:       misses,
-			DBypasses:     misses / 2,
-			DEvictions:    misses / 3,
-			DPredictions:  preds,
-			DPositives:    pos,
+			Index:           0,
+			Instructions:    instr,
+			DInstructions:   instr,
+			DCycles:         cycles,
+			DAccesses:       accesses,
+			DHits:           hits,
+			DMisses:         misses,
+			DBypasses:       misses / 2,
+			DEvictions:      misses / 3,
+			DPredictions:    preds,
+			DPositives:      pos,
 			DFalsePositives: fps,
 		}
 		iv.ComputeRates()

@@ -7,24 +7,24 @@
 // A submission flows through a fixed pipeline, every stage of which is
 // bounded:
 //
-//	decode → resolve → content address → result cache
-//	       → singleflight → bounded admission queue
-//	       → coalescing batcher → runner pool → cache + checkpoint
+//		decode → resolve → content address → result cache
+//		       → singleflight → bounded admission queue
+//		       → coalescing batcher → runner pool → cache + checkpoint
 //
-//   - The canonical spec expression (exp.Resolved.String) gives every
-//     experiment an exact content address; identical submissions — in
-//     any JSON spelling — share one cached result.
-//   - Concurrent identical submissions collapse in the singleflight
-//     layer: N in-flight duplicates cost one simulation.
-//   - Distinct submissions wait in a bounded admission queue; a full
-//     queue answers 429 + Retry-After instead of growing goroutines.
-//   - The batcher coalesces whatever arrives within a small max-wait
-//     window into one runner.Run call, inheriting the runner's panic
-//     isolation, per-job timeout, retry/backoff and checkpoint
-//     journaling.
-//   - Shutdown drains: admission closes, queued work settles with 503,
-//     in-flight simulations finish and land in the JSONL checkpoint,
-//     so a restarted server resumes byte-identically.
+//	  - The canonical spec expression (exp.Resolved.String) gives every
+//	    experiment an exact content address; identical submissions — in
+//	    any JSON spelling — share one cached result.
+//	  - Concurrent identical submissions collapse in the singleflight
+//	    layer: N in-flight duplicates cost one simulation.
+//	  - Distinct submissions wait in a bounded admission queue; a full
+//	    queue answers 429 + Retry-After instead of growing goroutines.
+//	  - The batcher coalesces whatever arrives within a small max-wait
+//	    window into one runner.Run call, inheriting the runner's panic
+//	    isolation, per-job timeout, retry/backoff and checkpoint
+//	    journaling.
+//	  - Shutdown drains: admission closes, queued work settles with 503,
+//	    in-flight simulations finish and land in the JSONL checkpoint,
+//	    so a restarted server resumes byte-identically.
 package serve
 
 import (

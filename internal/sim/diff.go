@@ -2,7 +2,6 @@ package sim
 
 import (
 	"sdbp/internal/cache"
-	"sdbp/internal/hier"
 	"sdbp/internal/workloads"
 )
 
@@ -46,19 +45,16 @@ func (d DiffResult) GainRate() float64 {
 
 // CompareLLC runs one benchmark against two LLC policies in lockstep
 // and classifies every LLC access by its hit/miss outcome under each:
-// one producer pass feeds each block's LLC-bound records to both LLCs.
+// one filtered stream feeds each block's LLC-bound records to both
+// LLCs. A panic in the generator or private levels is re-raised as a
+// *Panic carrying the original stack.
 func CompareLLC(w workloads.Workload, polA, polB cache.Policy, opts SingleOptions) DiffResult {
 	opts.normalize()
 	llcA := cache.New(opts.LLC, polA)
 	llcB := cache.New(opts.LLC, polB)
-	p := &producer{
-		gen:  w.Generator(opts.Scale),
-		core: hier.NewCore(hier.DefaultConfig(), nil),
-	}
 	res := DiffResult{Benchmark: w.Name, PolicyA: polA.Name(), PolicyB: polB.Name()}
-	var b block
 	var ra, rb [genBatch]cache.Result
-	for p.fill(&b) {
+	newStream(w.Generator(opts.Scale), laneShape).each(func(b *block) bool {
 		llcA.AccessBatch(b.llc, ra[:len(b.llc)])
 		llcB.AccessBatch(b.llc, rb[:len(b.llc)])
 		for i := range b.llc {
@@ -73,6 +69,7 @@ func CompareLLC(w workloads.Workload, polA, polB cache.Policy, opts SingleOption
 				res.BothMiss++
 			}
 		}
-	}
+		return true
+	})
 	return res
 }

@@ -1,15 +1,15 @@
 package sim
 
-// The fan-out drive, which every single-core run goes through:
-// a producer generates each block of the reference stream, filters it
-// through the private L1/L2 levels and gathers its LLC-bound records
-// once, and K lanes, each owning an LLC and a core timing model, replay
-// the block. The private levels never read LLC or timing state, so each
-// lane's result is byte-identical to a run of its own.
+// The fan-out drive, which every single-core run goes through: one
+// filtered stream (stream.go) generates each block of the reference
+// stream, filters it through the private L1/L2 levels and gathers its
+// LLC-bound records once, and K lanes, each owning an LLC and a core
+// timing model, replay the block. The private levels never read LLC or
+// timing state, so each lane's result is byte-identical to a run of its
+// own.
 
 import (
 	"fmt"
-	"runtime"
 	"runtime/debug"
 	"time"
 
@@ -40,7 +40,8 @@ type LaneResult struct {
 }
 
 // Panic is a recovered panic carried to where it is reported: out of a
-// failed lane, or from the producer goroutine to RunFanout's caller.
+// failed lane, or from a stream's producer goroutine to the stream's
+// consumer.
 type Panic struct {
 	Value any
 	Stack string // the panicking goroutine's stack at the panic
@@ -60,62 +61,30 @@ func (p *Panic) PanicStack() string { return p.Stack }
 // the results. With opts.Probe enabled every lane records its own
 // interval telemetry and per-PC attribution into its result's Probe.
 //
-// On a multi-CPU host a producer goroutine generates and filters ahead
-// of the lanes. A panic in the generator or private levels, on either
-// placement, fails every lane and is re-raised in the caller as a
-// *Panic carrying the original stack.
-func RunFanout(w workloads.Workload, opts SingleOptions, lanes []Lane) []LaneResult {
-	return runFanout(w, opts, lanes, runtime.NumCPU() > 1)
-}
-
-// block is one block of filtered records, shared read-only by the
-// lanes.
-type block struct {
-	fbBuf  [genBatch]hier.Filtered
-	llcBuf [genBatch]mem.Access
-	fb     []hier.Filtered // one record per generated access
-	llc    []mem.Access    // the LLC-bound subsequence
-}
-
-// producer is the policy-independent half of a run, with the optional
-// stream-capture tap.
-type producer struct {
-	gen     trace.Generator
-	core    *hier.Core
-	capture bool
-	stream  []mem.Access
-	as      [genBatch]mem.Access
-	err     *Panic // a panic while filling
-}
-
-func newProducer(gen trace.Generator, opts SingleOptions) *producer {
-	return &producer{
-		gen:     gen,
-		core:    hier.NewCore(hier.DefaultConfig(), nil),
-		capture: opts.CaptureStream,
-	}
-}
-
-// fill generates, filters and gathers the next block; false at the end
-// of the stream or on a panic, which it records in p.err.
-func (p *producer) fill(b *block) (ok bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			p.err = &Panic{Value: r, Stack: string(debug.Stack())}
-			ok = false
+// A producer goroutine generates and filters ahead of the lanes. A
+// panic in the generator or private levels fails every lane and is
+// re-raised in the caller as a *Panic carrying the original stack.
+func RunFanout(w workloads.Workload, opts SingleOptions, specs []Lane) []LaneResult {
+	opts.normalize()
+	start := time.Now()
+	lanes := make([]*lane, len(specs))
+	for i, spec := range specs {
+		cfg := opts.LLC
+		if spec.LLC.SizeBytes != 0 {
+			cfg = spec.LLC
 		}
-	}()
-	n := p.gen.NextBatch(p.as[:])
-	if n == 0 {
-		return false
+		lanes[i] = &lane{}
+		lanes[i].start(w, spec.Policy, cfg, opts.Probe)
 	}
-	b.fb = b.fbBuf[:n]
-	p.core.FilterBlock(p.as[:n], b.fb)
-	b.llc = hier.GatherLLC(b.llcBuf[:0], b.fb)
-	if p.capture {
-		p.stream = append(p.stream, b.llc...)
+	drive(w.Generator(opts.Scale), opts, lanes, start)
+	out := make([]LaneResult, len(lanes))
+	for i, l := range lanes {
+		out[i].Err = l.err
+		if l.err == nil {
+			out[i].Result = l.res
+		}
 	}
-	return true
+	return out
 }
 
 type lane struct {
@@ -200,36 +169,12 @@ func (l *lane) finish(private hier.LevelStats, opts SingleOptions) {
 	}
 }
 
-// runFanout is RunFanout with the producer placement explicit.
-func runFanout(w workloads.Workload, opts SingleOptions, specs []Lane, concurrent bool) []LaneResult {
-	opts.normalize()
-	start := time.Now()
-	lanes := make([]*lane, len(specs))
-	for i, spec := range specs {
-		cfg := opts.LLC
-		if spec.LLC.SizeBytes != 0 {
-			cfg = spec.LLC
-		}
-		lanes[i] = &lane{}
-		lanes[i].start(w, spec.Policy, cfg, opts.Probe)
-	}
-	drive(newProducer(w.Generator(opts.Scale), opts), opts, lanes, concurrent, start)
-	out := make([]LaneResult, len(lanes))
-	for i, l := range lanes {
-		out[i].Err = l.err
-		if l.err == nil {
-			out[i].Result = l.res
-		}
-	}
-	return out
-}
-
-// drive runs one pass of p's stream into the started lanes and
-// finishes every lane still live at the end.
-func drive(p *producer, opts SingleOptions, lanes []*lane, concurrent bool, start time.Time) {
-	// replay reports whether any lane is still live; once none is, the
-	// rest of the stream is skipped.
-	replay := func(b *block) bool {
+// drive runs one pass of gen's filtered stream into the started lanes
+// and finishes every lane still live at the end.
+func drive(gen trace.Generator, opts SingleOptions, lanes []*lane, start time.Time) {
+	s := newStream(gen, laneShape)
+	var captured []mem.Access
+	s.each(func(b *block) bool {
 		live := false
 		for _, l := range lanes {
 			if l.err == nil {
@@ -237,22 +182,17 @@ func drive(p *producer, opts SingleOptions, lanes []*lane, concurrent bool, star
 				live = live || l.err == nil
 			}
 		}
-		return live
-	}
-	if concurrent {
-		produceConcurrently(p, replay)
-	} else {
-		for b := new(block); p.fill(b) && replay(b); {
+		if opts.CaptureStream {
+			captured = append(captured, b.llc...)
 		}
-	}
-	if p.err != nil {
-		panic(p.err)
-	}
+		// Once no lane is live, the rest of the stream is skipped.
+		return live
+	})
 
 	live := 0
 	for _, l := range lanes {
 		if l.err == nil {
-			l.finish(p.core.Stats(), opts)
+			l.finish(s.core.Stats(), opts)
 		}
 		if l.err == nil {
 			live++
@@ -269,51 +209,7 @@ func drive(p *producer, opts SingleOptions, lanes []*lane, concurrent bool, star
 		l.res.Duration = wall / time.Duration(live)
 		l.res.FilterPasses, passes = passes, 0
 		if opts.CaptureStream {
-			l.res.Stream = p.stream
+			l.res.Stream = captured
 		}
-	}
-}
-
-// pipeBuffers is the concurrent producer's blocks in flight: one being
-// filtered, one queued, one being replayed.
-const pipeBuffers = 3
-
-// produceConcurrently runs the producer in its own goroutine and the
-// replay in the caller's, cycling a fixed ring of blocks; the consumer
-// closes the ring's free side to stop the producer early. The two
-// sides own disjoint state and the channels order the handoff. It
-// returns once the producer has exited, which publishes the producer's
-// state, p.err included, to the caller.
-func produceConcurrently(p *producer, replay func(*block) bool) {
-	recs := make(chan *block, pipeBuffers)
-	free := make(chan *block, pipeBuffers)
-	for i := 0; i < pipeBuffers; i++ {
-		free <- new(block)
-	}
-	go p.run(free, recs)
-	stopped := false
-	for b := range recs {
-		if stopped {
-			continue // drain: the last lane has failed
-		}
-		if !replay(b) {
-			close(free)
-			stopped = true
-			continue
-		}
-		free <- b // never blocks: free can hold every block
-	}
-}
-
-// run is the producer goroutine: it fills free blocks into recs until
-// the stream ends, a fill panics or free is closed, and always closes
-// recs.
-func (p *producer) run(free <-chan *block, recs chan<- *block) {
-	defer close(recs)
-	for b := range free {
-		if !p.fill(b) {
-			return
-		}
-		recs <- b // never blocks: recs can hold every block
 	}
 }

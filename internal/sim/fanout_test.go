@@ -3,8 +3,10 @@ package sim_test
 import (
 	"errors"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"sdbp/internal/cache"
 	"sdbp/internal/exp"
@@ -15,12 +17,6 @@ import (
 	"sdbp/internal/trace"
 	"sdbp/internal/workloads"
 )
-
-// producers names both producer placements RunFanout chooses between.
-var producers = []struct {
-	name       string
-	concurrent bool
-}{{"inline", false}, {"goroutine", true}}
 
 // stripTiming strips the wall-clock and pass-accounting fields, which a
 // shared pass legitimately changes, from a result.
@@ -33,9 +29,9 @@ func stripTiming(r sim.SingleResult) sim.SingleResult {
 // TestFanoutMatchesSeparateRuns is the fan-out differential: one pass
 // fanned out to every registry policy spelling, plus lanes that differ
 // only in LLC geometry, must reproduce K separate RunSingle calls
-// byte for byte — through both producer placements, on a memoized
-// stream and on one above the stream memo's cap (a generated one), and
-// with every lane probed (interval series and per-PC tables included).
+// byte for byte — on a memoized stream and on one above the stream
+// memo's cap (a generated one), and with every lane probed (interval
+// series and per-PC tables included).
 func TestFanoutMatchesSeparateRuns(t *testing.T) {
 	w, err := workloads.ByName("456.hmmer")
 	if err != nil {
@@ -77,27 +73,25 @@ func TestFanoutMatchesSeparateRuns(t *testing.T) {
 				o.LLC = llc
 				want = append(want, sim.RunSingle(w, lru.Make(1), o))
 			}
-			for _, pr := range producers {
-				got := sim.RunFanoutWith(w, opts, lanes, pr.concurrent)
-				if len(got) != len(lanes) {
-					t.Fatalf("%s: %d results for %d lanes", pr.name, len(got), len(lanes))
+			got := sim.RunFanout(w, opts, lanes)
+			if len(got) != len(lanes) {
+				t.Fatalf("%d results for %d lanes", len(got), len(lanes))
+			}
+			passes := uint64(0)
+			for i, r := range got {
+				if r.Err != nil {
+					t.Fatalf("lane %d: %v", i, r.Err)
 				}
-				passes := uint64(0)
-				for i, r := range got {
-					if r.Err != nil {
-						t.Fatalf("%s lane %d: %v", pr.name, i, r.Err)
-					}
-					passes += r.Result.FilterPasses
-					if (r.Result.Probe == nil) != (tc.probe == nil) {
-						t.Fatalf("%s lane %d: probe series present = %t, want %t", pr.name, i, r.Result.Probe != nil, tc.probe != nil)
-					}
-					if !reflect.DeepEqual(stripTiming(r.Result), stripTiming(want[i])) {
-						t.Errorf("%s lane %d (%s): fan-out result differs from RunSingle", pr.name, i, want[i].Policy)
-					}
+				passes += r.Result.FilterPasses
+				if (r.Result.Probe == nil) != (tc.probe == nil) {
+					t.Fatalf("lane %d: probe series present = %t, want %t", i, r.Result.Probe != nil, tc.probe != nil)
 				}
-				if passes != 1 {
-					t.Errorf("%s: results account for %d passes, want 1", pr.name, passes)
+				if !reflect.DeepEqual(stripTiming(r.Result), stripTiming(want[i])) {
+					t.Errorf("lane %d (%s): fan-out result differs from RunSingle", i, want[i].Policy)
 				}
+			}
+			if passes != 1 {
+				t.Errorf("results account for %d passes, want 1", passes)
 			}
 		})
 	}
@@ -135,25 +129,23 @@ func TestFanoutLanePanicIsolated(t *testing.T) {
 	want := []sim.SingleResult{
 		sim.RunSingle(w, lru.Make(1), opts), {}, {}, sim.RunSingle(w, smp.Make(1), opts),
 	}
-	for _, pr := range producers {
-		got := sim.RunFanoutWith(w, opts, lanes, pr.concurrent)
-		for _, i := range []int{0, 3} {
-			if got[i].Err != nil {
-				t.Fatalf("%s: healthy lane %d failed: %v", pr.name, i, got[i].Err)
-			}
-			if !reflect.DeepEqual(stripTiming(got[i].Result), stripTiming(want[i])) {
-				t.Errorf("%s: healthy lane %d differs from its separate run", pr.name, i)
-			}
+	got := sim.RunFanout(w, opts, lanes)
+	for _, i := range []int{0, 3} {
+		if got[i].Err != nil {
+			t.Fatalf("healthy lane %d failed: %v", i, got[i].Err)
 		}
-		for i, site := range map[int]string{1: "TestFanoutLanePanicIsolated", 2: "(*midStreamPanic).OnAccess"} {
-			var p *sim.Panic
-			if !errors.As(got[i].Err, &p) {
-				t.Fatalf("%s: lane %d error = %v, want a *sim.Panic", pr.name, i, got[i].Err)
-			}
-			if !strings.Contains(p.Error(), "injected") || !strings.Contains(p.Stack, site) {
-				t.Errorf("%s: lane %d panic %q lost its value or its stack (want frame %s):\n%s",
-					pr.name, i, p.Error(), site, p.Stack)
-			}
+		if !reflect.DeepEqual(stripTiming(got[i].Result), stripTiming(want[i])) {
+			t.Errorf("healthy lane %d differs from its separate run", i)
+		}
+	}
+	for i, site := range map[int]string{1: "TestFanoutLanePanicIsolated", 2: "(*midStreamPanic).OnAccess"} {
+		var p *sim.Panic
+		if !errors.As(got[i].Err, &p) {
+			t.Fatalf("lane %d error = %v, want a *sim.Panic", i, got[i].Err)
+		}
+		if !strings.Contains(p.Error(), "injected") || !strings.Contains(p.Stack, site) {
+			t.Errorf("lane %d panic %q lost its value or its stack (want frame %s):\n%s",
+				i, p.Error(), site, p.Stack)
 		}
 	}
 }
@@ -193,22 +185,56 @@ func (g *panicGen) NextBatch(dst []mem.Access) int {
 }
 
 // TestProducerPanicCarriesStack: a panic in the generator reaches the
-// caller as a *sim.Panic with the generator's frame, through both
-// producer placements.
+// caller as a *sim.Panic with the generator's frame.
 func TestProducerPanicCarriesStack(t *testing.T) {
+	defer func() {
+		p, ok := recover().(*sim.Panic)
+		if !ok {
+			t.Fatalf("drive did not panic with a *sim.Panic")
+		}
+		if !strings.Contains(p.Error(), "injected") || !strings.Contains(p.Stack, "(*panicGen).NextBatch") {
+			t.Errorf("panic %q lost its value or its stack:\n%s", p.Error(), p.Stack)
+		}
+	}()
+	sim.DriveWith(&panicGen{}, exp.MustResolvePolicy("LRU").Make(1))
+}
+
+// TestMulticoreProducerPanicIsolated: a panic in one mix core's
+// generator comes back from RunMulticore as an error carrying the
+// generator's frame, instead of killing the process from the core's
+// producer goroutine. Every core's producer has exited once
+// RunMulticore returns, after a failed run and after a healthy one
+// (whose restarting streams never end on their own).
+func TestMulticoreProducerPanicIsolated(t *testing.T) {
+	before := runtime.NumGoroutine()
+	mix := workloads.Mixes()[0]
 	lru := exp.MustResolvePolicy("LRU")
-	for _, pr := range producers {
-		t.Run(pr.name, func(t *testing.T) {
-			defer func() {
-				p, ok := recover().(*sim.Panic)
-				if !ok {
-					t.Fatalf("drive did not panic with a *sim.Panic")
-				}
-				if !strings.Contains(p.Error(), "injected") || !strings.Contains(p.Stack, "(*panicGen).NextBatch") {
-					t.Errorf("panic %q lost its value or its stack:\n%s", p.Error(), p.Stack)
-				}
-			}()
-			sim.DriveWith(&panicGen{}, lru.Make(1), pr.concurrent)
-		})
+	opts := sim.MulticoreOptions{Scale: 0.01}
+	// At this scale every core's first pass outlasts panicGen's one
+	// good block, so the merge reaches the panic.
+	_, err := sim.RunMulticoreWith(mix, lru.Make(4), opts, 2, &panicGen{})
+	var p *sim.Panic
+	if !errors.As(err, &p) {
+		t.Fatalf("RunMulticore error = %v, want one wrapping a *sim.Panic", err)
+	}
+	if !strings.Contains(err.Error(), "core 2") || !strings.Contains(p.Stack, "(*panicGen).NextBatch") {
+		t.Errorf("error %q lost its core or its stack:\n%s", err, p.Stack)
+	}
+	waitGoroutines(t, before)
+	if _, err := sim.RunMulticore(mix, lru.Make(4), opts); err != nil {
+		t.Fatal(err)
+	}
+	waitGoroutines(t, before)
+}
+
+// waitGoroutines fails the test unless the goroutine count falls back
+// to n within a second.
+func waitGoroutines(t *testing.T, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > n; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the run, %d before: a core's producer leaked", runtime.NumGoroutine(), n)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

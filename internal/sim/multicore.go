@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"sdbp/internal/cache"
@@ -56,31 +55,26 @@ func (o *MulticoreOptions) normalize() {
 	}
 }
 
-// mcChunk is the pre-filter block size, in accesses: each core's
-// producer generates and private-filters this many accesses per chunk
-// handed to the merge loop.
+// mcChunk is a core stream's block size, in accesses: the records
+// handed to the merge loop at a time.
 const mcChunk = 4096
 
-// mcBuffers is the number of chunk buffers circulating per core: one
+// mcBuffers is the number of blocks circulating per core stream: one
 // being filled by the producer, one being consumed by the merge, and
-// slack in the channel between them. Because every buffer is either
-// held or in a channel of this total capacity, neither side ever blocks
-// on the free list.
+// slack between them.
 const mcBuffers = 4
 
-// mcCore is one core's merge-side state in a multicore run. Its stream
-// arrives pre-filtered through the core's private levels from a
-// producer goroutine (see prefilter); the merge loop owns only the
-// timing model and first-pass bookkeeping.
+// mcCore is one core of a multicore run. Its stream arrives filtered
+// through the core's private levels from the stream's producer
+// goroutine; the merge loop owns only the timing model and first-pass
+// bookkeeping.
 type mcCore struct {
-	timing *cpu.Core
 	id     int
-
-	recs chan []hier.Filtered // filled chunks, in stream order
-	free chan []hier.Filtered // recycled chunk buffers
-	errc chan error           // producer failure (closed recs follows)
-	cur  []hier.Filtered
-	pos  int
+	gen    trace.Generator // the benchmark's stream, once through
+	timing *cpu.Core
+	s      *stream
+	fb     []hier.Filtered // the block being merged
+	pos    int
 
 	target    uint64 // first-pass instruction count
 	passInstr uint64
@@ -88,68 +82,44 @@ type mcCore struct {
 	done      bool
 }
 
-// next returns the core's next pre-filtered record in stream order,
-// pulling a fresh chunk from the producer when the current one is
-// drained.
-func (c *mcCore) next() (hier.Filtered, error) {
-	if c.pos >= len(c.cur) {
-		if c.cur != nil {
-			c.free <- c.cur // never blocks: free holds all buffers
-		}
-		chunk, ok := <-c.recs
-		if !ok {
-			return hier.Filtered{}, <-c.errc
-		}
-		c.cur, c.pos = chunk, 0
-	}
-	f := c.cur[c.pos]
-	c.pos++
-	return f, nil
+// coreGen is a core's reference stream: its benchmark's stream,
+// restarted whenever it ends, with each access tagged with the core's
+// thread ID and address-space bits before private filtering. It ends
+// only if the benchmark's stream is empty.
+type coreGen struct {
+	trace.Generator
+	id int
 }
 
-// prefilter is a core's producer: it generates the (infinitely
-// restarting) reference stream in chunks, tags each access with the
-// core's thread ID and address-space bits — before private filtering,
-// exactly as the per-access loop did — and runs the chunk through the
-// core's private L1/L2 via hier.FilterBlock. The filter core is owned
-// by this goroutine alone; chunk buffers transfer ownership through the
-// recs/free channels, so the expensive per-core work runs in parallel
-// across cores while the merge loop serializes only the shared-LLC leg.
-func prefilter(id int, mixName string, gen trace.Generator, filter *hier.Core,
-	recs, free chan []hier.Filtered, errc chan error, stop <-chan struct{}) {
-	defer close(recs)
-	buf := make([]mem.Access, mcChunk)
-	for {
-		n := 0
-		for n < mcChunk {
-			k := gen.NextBatch(buf[n:])
-			if k == 0 {
-				gen.Reset()
-				if k = gen.NextBatch(buf[n:]); k == 0 {
-					errc <- fmt.Errorf("sim: mix %s: empty workload stream on core %d", mixName, id)
-					return
-				}
-			}
-			n += k
-		}
-		for i := range buf {
-			buf[i].Thread = uint8(id)
-			// Each core gets its own physical address space.
-			buf[i].Addr |= uint64(id+1) << 56
-		}
-		var out []hier.Filtered
-		select {
-		case out = <-free:
-		case <-stop:
-			return
-		}
-		filter.FilterBlock(buf, out[:mcChunk])
-		select {
-		case recs <- out[:mcChunk]:
-		case <-stop:
-			return
-		}
+func (g *coreGen) NextBatch(dst []mem.Access) int {
+	n := g.Generator.NextBatch(dst)
+	if n == 0 {
+		g.Generator.Reset()
+		n = g.Generator.NextBatch(dst)
 	}
+	for i := range dst[:n] {
+		dst[i].Thread = uint8(g.id)
+		// Each core gets its own physical address space.
+		dst[i].Addr |= uint64(g.id+1) << 56
+	}
+	return n
+}
+
+// next returns the core's next filtered record in stream order,
+// pulling the stream's next block when the current one is drained.
+func (c *mcCore) next(mixName string) (*hier.Filtered, error) {
+	if c.pos == len(c.fb) {
+		b := c.s.next()
+		if b == nil {
+			if p := c.s.stop(); p != nil {
+				return nil, fmt.Errorf("sim: mix %s: core %d: %w", mixName, c.id, p)
+			}
+			return nil, fmt.Errorf("sim: mix %s: empty workload stream on core %d", mixName, c.id)
+		}
+		c.fb, c.pos = b.fb, 0
+	}
+	c.pos++
+	return &c.fb[c.pos-1], nil
 }
 
 // accumPrivate replays one pre-filtered record's private-level counter
@@ -199,57 +169,54 @@ func accumPrivate(res *MulticoreResult, flags uint16) {
 // interleave by simulated time: each step advances the core whose clock
 // is furthest behind.
 //
-// Each core's generation and private L1/L2 filtering run in a producer
-// goroutine (goroutine-parallel across cores); the merge loop consumes
-// the pre-filtered streams in per-core order, so the simulated-time
-// interleaving at the shared LLC — and with it every statistic — is
-// byte-identical to the sequential per-access loop it replaces.
+// Each core's generation and private L1/L2 filtering run in its
+// stream's producer goroutine (goroutine-parallel across cores); the
+// merge loop consumes the filtered streams in per-core order, so the
+// simulated-time interleaving at the shared LLC — and with it every
+// statistic — is byte-identical to a sequential per-access loop.
 //
-// Construction problems — an unknown mix member, an empty stream — are
-// returned as errors rather than panicking, so one bad mix config
-// cannot kill a whole evaluation campaign.
+// Construction problems — an unknown mix member, an empty stream — and
+// a panic in a core's generator or private levels are returned as
+// errors rather than panicking, so one bad mix cannot kill a whole
+// evaluation campaign.
 func RunMulticore(mix workloads.Mix, pol cache.Policy, opts MulticoreOptions) (MulticoreResult, error) {
 	opts.normalize()
-	start := time.Now()
-
-	llc := cache.New(opts.LLC, pol)
-	res := MulticoreResult{MixName: mix.Name, Policy: pol.Name()}
-
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	shutdown := func() {
-		close(stop)
-		wg.Wait()
+	cores, err := mixCores(mix, opts.Scale)
+	if err != nil {
+		return MulticoreResult{}, err
 	}
+	return runMulticore(mix.Name, pol, opts, cores)
+}
 
-	cores := make([]*mcCore, 4)
+// mixCores resolves a mix's members into cores, each with its
+// benchmark's stream and first-pass length.
+func mixCores(mix workloads.Mix, scale float64) ([]*mcCore, error) {
+	cores := make([]*mcCore, len(mix.Members))
 	for i, name := range mix.Members {
 		w, err := workloads.ByName(name)
 		if err != nil {
-			shutdown()
-			return MulticoreResult{}, fmt.Errorf("sim: mix %s: %w", mix.Name, err)
+			return nil, fmt.Errorf("sim: mix %s: %w", mix.Name, err)
 		}
-		c := &mcCore{
-			timing: cpu.New(cpu.DefaultConfig()),
-			id:     i,
-			recs:   make(chan []hier.Filtered, mcBuffers-2),
-			free:   make(chan []hier.Filtered, mcBuffers),
-			errc:   make(chan error, 1),
+		cores[i] = &mcCore{
+			id:  i,
+			gen: w.Generator(scale),
 			// First-pass length in instructions (gaps + one per access),
 			// memoized across runs so no second stream walk happens here.
-			target: w.Instructions(opts.Scale),
+			target: w.Instructions(scale),
 		}
-		for b := 0; b < mcBuffers; b++ {
-			c.free <- make([]hier.Filtered, mcChunk)
-		}
-		cores[i] = c
-		filter := hier.NewCore(hier.DefaultConfig(), nil)
-		gen := w.Generator(opts.Scale)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			prefilter(c.id, mix.Name, gen, filter, c.recs, c.free, c.errc, stop)
-		}()
+	}
+	return cores, nil
+}
+
+// runMulticore starts every core's stream and runs the merge.
+func runMulticore(mixName string, pol cache.Policy, opts MulticoreOptions, cores []*mcCore) (MulticoreResult, error) {
+	start := time.Now()
+	llc := cache.New(opts.LLC, pol)
+	res := MulticoreResult{MixName: mixName, Policy: pol.Name()}
+	for _, c := range cores {
+		c.timing = cpu.New(cpu.DefaultConfig())
+		c.s = newStream(&coreGen{Generator: c.gen, id: c.id}, mixShape)
+		defer c.s.stop()
 	}
 
 	remaining := len(cores)
@@ -261,21 +228,13 @@ func RunMulticore(mix workloads.Mix, pol cache.Policy, opts MulticoreOptions) (M
 				next = c
 			}
 		}
-		f, err := next.next()
+		f, err := next.next(mixName)
 		if err != nil {
-			shutdown()
 			return MulticoreResult{}, err
 		}
-		level := hier.LevelMemory
-		switch {
-		case f.Flags&hier.FL1Hit != 0:
-			level = hier.LevelL1
-		case f.Flags&hier.FL2Hit != 0:
-			level = hier.LevelL2
-		default:
-			if llc.Access(f.LLC).Hit {
-				level = hier.LevelLLC
-			}
+		level := f.PrivateLevel()
+		if level == hier.LevelMemory && llc.Access(f.LLC).Hit {
+			level = hier.LevelLLC
 		}
 		next.timing.Record(f.Gap, level.Latency(), f.Flags&hier.FDep != 0)
 		next.passInstr += uint64(f.Gap) + 1
@@ -288,7 +247,6 @@ func RunMulticore(mix workloads.Mix, pol cache.Policy, opts MulticoreOptions) (M
 			remaining--
 		}
 	}
-	shutdown()
 	llc.Finish()
 
 	var totalInstr uint64

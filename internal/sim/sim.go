@@ -6,7 +6,6 @@
 package sim
 
 import (
-	"runtime"
 	"time"
 
 	"sdbp/internal/cache"
@@ -110,7 +109,7 @@ func RunSingle(w workloads.Workload, pol cache.Policy, opts SingleOptions) Singl
 	// would add allocations to every single run.
 	var l lane
 	l.start(w, func() cache.Policy { return pol }, opts.LLC, opts.Probe)
-	drive(newProducer(w.Generator(opts.Scale), opts), opts, []*lane{&l}, runtime.NumCPU() > 1, start)
+	drive(w.Generator(opts.Scale), opts, []*lane{&l}, start)
 	if l.err != nil {
 		panic(l.err)
 	}

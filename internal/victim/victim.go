@@ -16,6 +16,7 @@ import (
 	"sdbp/internal/dbrb"
 	"sdbp/internal/hier"
 	"sdbp/internal/mem"
+	"sdbp/internal/sim"
 	"sdbp/internal/workloads"
 )
 
@@ -113,7 +114,6 @@ func Run(w workloads.Workload, mk func() *dbrb.Policy, vcSize int, filtered bool
 	pol := mk()
 	snoop := &deadSnoop{Policy: pol}
 	llc := cache.New(hier.LLCConfig(1), snoop)
-	core := hier.NewCore(hier.DefaultConfig(), nil)
 	timing := cpu.New(cpu.DefaultConfig())
 	vc := NewCache(vcSize)
 
@@ -127,12 +127,8 @@ func Run(w workloads.Workload, mk func() *dbrb.Policy, vcSize int, filtered bool
 	// record at a time because each eviction changes the victim buffer
 	// the next miss probes.
 	var misses uint64
-	gen := w.Generator(scale)
-	var as [256]mem.Access
-	var fb [256]hier.Filtered
-	for n := gen.NextBatch(as[:]); n > 0; n = gen.NextBatch(as[:]) {
-		core.FilterBlock(as[:n], fb[:n])
-		for i := range fb[:n] {
+	sim.FilterStream(w.Generator(scale), func(fb []hier.Filtered) {
+		for i := range fb {
 			f := &fb[i]
 			lat := f.PrivateLevel().Latency()
 			if f.Flags&hier.FLLCBound != 0 {
@@ -153,7 +149,7 @@ func Run(w workloads.Workload, mk func() *dbrb.Policy, vcSize int, filtered bool
 			}
 			timing.Record(f.Gap, lat, f.Flags&hier.FDep != 0)
 		}
-	}
+	})
 
 	res.IPC = timing.IPC()
 	if n := timing.Instructions(); n > 0 {
