@@ -184,19 +184,22 @@ func (g *panicGen) NextBatch(dst []mem.Access) int {
 	return len(dst)
 }
 
-// TestProducerPanicCarriesStack: a panic in the generator reaches the
-// caller as a *sim.Panic with the generator's frame.
+// TestProducerPanicCarriesStack: a panic in the generator, which runs
+// on the drive's producer goroutine, reaches the caller as a *sim.Panic
+// with the generator's frame.
 func TestProducerPanicCarriesStack(t *testing.T) {
-	defer func() {
-		p, ok := recover().(*sim.Panic)
-		if !ok {
-			t.Fatalf("drive did not panic with a *sim.Panic")
-		}
-		if !strings.Contains(p.Error(), "injected") || !strings.Contains(p.Stack, "(*panicGen).NextBatch") {
-			t.Errorf("panic %q lost its value or its stack:\n%s", p.Error(), p.Stack)
-		}
-	}()
-	sim.DriveWith(&panicGen{}, exp.MustResolvePolicy("LRU").Make(1))
+	t.Run("goroutine", func(t *testing.T) {
+		defer func() {
+			p, ok := recover().(*sim.Panic)
+			if !ok {
+				t.Fatalf("drive did not panic with a *sim.Panic")
+			}
+			if !strings.Contains(p.Error(), "injected") || !strings.Contains(p.Stack, "(*panicGen).NextBatch") {
+				t.Errorf("panic %q lost its value or its stack:\n%s", p.Error(), p.Stack)
+			}
+		}()
+		sim.DriveWith(&panicGen{}, exp.MustResolvePolicy("LRU").Make(1))
+	})
 }
 
 // TestMulticoreProducerPanicIsolated: a panic in one mix core's
